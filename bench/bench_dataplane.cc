@@ -1,6 +1,6 @@
-// Data-plane throughput benchmark: the seed's std::function-per-hop path,
-// the single-threaded typed-event fast path, and the sharded parallel plane
-// (DESIGN.md §11/§14) at 2, 4 and 8 worker threads.
+// Data-plane throughput benchmark: the single-threaded typed-event engine
+// and the sharded parallel plane (DESIGN.md §11/§14) at 2, 4 and 8 worker
+// threads.
 //
 // One synthetic world (40 regions by default — wide enough that topology
 // placement has real clusters to find at K=8 — 10k clients), 500 routed
@@ -8,10 +8,11 @@
 // self-rescheduling simulator actions hinted at their owning shard. The
 // same workload runs once per engine configuration, freshly constructed
 // from identical seeds, and the bench reports events/sec per configuration
-// plus the speedups and the sharded plane's window telemetry (windows per
-// simulated second is the hardware-independent progress metric: fewer
-// windows means less synchronization for the same events, provable even on
-// a 1-core container). The sharded rows run under the flag-selected
+// plus the speedups over the single-threaded row and the sharded plane's
+// window telemetry (windows per simulated second is the
+// hardware-independent progress metric: fewer windows means less
+// synchronization for the same events, provable even on a 1-core
+// container). The sharded rows run under the flag-selected
 // placement/window policy (topology + adaptive by default); one extra
 // 8-shard row always re-runs the PR 5 recipe (round-robin + fixed) as the
 // window-count baseline. Prints a table and writes BENCH_dataplane.json in
@@ -24,8 +25,6 @@
 //     size and publication count;
 //   - a sharded row with zero windows executed fails ALWAYS (the telemetry
 //     must prove the plane actually ran windows);
-//   - fast-vs-legacy speedup below 3x fails on full-size runs
-//     (>= 10^6 publications);
 //   - sharded 8-thread speedup over the single-threaded fast path below 3x
 //     fails on full-size runs on machines with >= 8 hardware threads (the
 //     rows always record hardware_concurrency, so a small CI box still
@@ -37,12 +36,10 @@
 // With --cohorts on the subscriber side runs on the cohort-compressed
 // plane (DESIGN.md §12): clients fold into weighted cohorts keyed by (home,
 // topic set, latency row) and each broker fans out one weighted event per
-// flock. Cohorts require the typed-event fast path, so the legacy engine
-// drops out of the comparison and the reference becomes the single-threaded
-// fast path; the K-invariance gate (identical counters for every shard
-// count) still applies bit-for-bit.
+// flock; the K-invariance gate (identical counters for every shard count)
+// applies bit-for-bit there too.
 //
-// Usage: bench_dataplane [--pubs N] [--mode both|fast|legacy|shards=K]
+// Usage: bench_dataplane [--pubs N] [--mode both|fast|shards=K]
 //                        [--clients N] [--regions N] [--cohorts on|off]
 //                        [--shard-placement round-robin|topology]
 //                        [--window-policy fixed|adaptive]
@@ -113,10 +110,9 @@ struct RunResult {
   }
 };
 
-/// One engine configuration under test. shards == 0 is the seed legacy
-/// engine; shards == 1 the single-threaded fast path; shards > 1 the
-/// parallel plane with that many worker threads under the given placement
-/// and window policy.
+/// One engine configuration under test. shards == 1 is the single-threaded
+/// plane; shards > 1 the parallel plane with that many worker threads under
+/// the given placement and window policy.
 struct EngineConfig {
   const char* label;
   std::uint32_t shards;
@@ -130,7 +126,6 @@ struct EngineConfig {
 RunResult run_engine(const EngineConfig& engine, std::uint64_t total_pubs,
                      std::size_t n_clients, std::size_t n_regions,
                      bool cohorts) {
-  const bool fast = engine.shards > 0;
   Rng world_rng(kWorldSeed);
   const auto world = geo::synthesize_world(n_regions, {}, world_rng);
   const auto population = geo::synthesize_population(
@@ -140,9 +135,6 @@ RunResult run_engine(const EngineConfig& engine, std::uint64_t total_pubs,
   net::Simulator sim;
   net::SimTransport transport(sim, world.catalog, world.backbone,
                               population.latencies);
-  // Must happen before anything is scheduled: switching engines requires an
-  // empty queue.
-  transport.set_fast_path(fast);
 
   // Membership first (the RNG draw order is the bench's contract: the
   // per-client plane replays the exact historical stream): topic t is
@@ -399,12 +391,12 @@ int main(int argc, char** argv) {
     std::printf(
         "bench_dataplane — data-plane engine comparison\n"
         "  --pubs N              total publications (default 1000000)\n"
-        "  --mode both|fast|legacy|shards=K  engine selection (default\n"
+        "  --mode both|fast|shards=K  engine selection (default\n"
         "                        both; a single engine skips the gates)\n"
         "  --clients N           total clients (default 10000)\n"
         "  --regions N           world size (default 40, 6..64)\n"
         "  --cohorts on|off      cohort-compressed subscriber plane\n"
-        "                        (default off; drops the legacy engine)\n"
+        "                        (default off)\n"
         "  --shard-placement round-robin|topology  region partitioning for\n"
         "                        the sharded rows (default topology)\n"
         "  --window-policy fixed|adaptive  window sizing for the sharded\n"
@@ -462,10 +454,7 @@ int main(int argc, char** argv) {
     // Profiling mode: one configuration, no comparison.
     EngineConfig engine{"fast", 1, *placement, policy};
     const std::string_view mode_view = mode;
-    if (mode == "legacy") {
-      engine.label = "legacy";
-      engine.shards = 0;
-    } else if (mode_view.substr(0, 7) == "shards=") {
+    if (mode_view.substr(0, 7) == "shards=") {
       engine.label = "sharded";
       engine.shards = static_cast<std::uint32_t>(
           std::strtoul(mode.c_str() + 7, nullptr, 10));
@@ -482,10 +471,6 @@ int main(int argc, char** argv) {
       }
     } else if (mode != "fast") {
       std::fprintf(stderr, "unknown mode '%s'\n", mode.c_str());
-      return 2;
-    }
-    if (cohorts && engine.shards == 0) {
-      std::fprintf(stderr, "cohorts require the fast path, not legacy\n");
       return 2;
     }
     const RunResult r =
@@ -506,16 +491,14 @@ int main(int argc, char** argv) {
               net::shard_placement_name(*placement).c_str(),
               policy == net::WindowPolicy::kFixed ? "fixed" : "adaptive");
 
-  // The cohort plane has no legacy twin, so its reference engine is the
-  // single-threaded fast path; the per-client comparison keeps the seed
-  // engine as reference. The final row re-runs K=8 with the PR 5 recipe
-  // (round-robin + fixed windows) as the window-count baseline — unless the
-  // flags already selected exactly that configuration.
+  // The single-threaded row is the reference. The final row re-runs K=8
+  // with the PR 5 recipe (round-robin + fixed windows) as the window-count
+  // baseline — unless the flags already selected exactly that
+  // configuration.
   const bool tuned_is_baseline =
       *placement == net::ShardPlacement::kRoundRobin &&
       policy == net::WindowPolicy::kFixed;
   std::vector<EngineConfig> engines;
-  if (!cohorts) engines.push_back({"legacy", 0});
   engines.push_back({"fast", 1});
   engines.push_back({"sharded", 2, *placement, policy});
   engines.push_back({"sharded", 4, *placement, policy});
@@ -532,7 +515,6 @@ int main(int argc, char** argv) {
         run_engine(engine, total_pubs, n_clients, n_regions, cohorts));
   }
   const RunResult& reference = results[0];
-  const RunResult& fast = results[cohorts ? 0 : 1];
 
   bench::BenchReport report("dataplane");
   std::printf("%-8s %8s %12s %11s %7s %14s %10s %16s %8s\n", "engine",
@@ -552,7 +534,7 @@ int main(int argc, char** argv) {
         reference.events_per_sec() > 0.0
             ? r.events_per_sec() / reference.events_per_sec()
             : 0.0;
-    const std::uint32_t threads = std::max<std::uint32_t>(1, engine.shards);
+    const std::uint32_t threads = engine.shards;
     const bool sharded = engine.shards > 1;
     const char* placement_label =
         !sharded ? "-"
@@ -583,10 +565,6 @@ int main(int argc, char** argv) {
         .num("sim_ms", r.sim_ms)
         .num("events_per_sec", r.events_per_sec())
         .num("speedup_vs_reference", vs_ref)
-        .num("speedup_vs_fast",
-             fast.events_per_sec() > 0.0
-                 ? r.events_per_sec() / fast.events_per_sec()
-                 : 0.0)
         .boolean("identical", identical)
         .uinteger("windows_executed", r.windows.windows)
         .num("windows_per_sim_sec", r.windows_per_sim_sec())
@@ -598,10 +576,8 @@ int main(int argc, char** argv) {
         .uinteger("barrier_parks", r.windows.barrier_parks)
         .uinteger("hardware_concurrency", hw_threads);
   }
-  const double fast_speedup =
-      fast.events_per_sec() / reference.events_per_sec();
   const double shard8_speedup =
-      results[tuned8_index].events_per_sec() / fast.events_per_sec();
+      results[tuned8_index].events_per_sec() / reference.events_per_sec();
   // Window reduction: how many times fewer synchronization rounds the tuned
   // configuration pays per simulated second than the PR 5 recipe. Both
   // counts are deterministic, so this ratio is hardware-independent.
@@ -610,17 +586,10 @@ int main(int argc, char** argv) {
           ? results[baseline8_index].windows_per_sim_sec() /
                 results[tuned8_index].windows_per_sim_sec()
           : 0.0;
-  if (cohorts) {
-    std::printf("8-thread sharded vs fast %.2fx, window reduction %.2fx, "
-                "counters %s\n",
-                shard8_speedup, window_reduction,
-                all_identical ? "identical" : "DIVERGED");
-  } else {
-    std::printf("fast vs legacy %.2fx, 8-thread sharded vs fast %.2fx, "
-                "window reduction %.2fx, counters %s\n",
-                fast_speedup, shard8_speedup, window_reduction,
-                all_identical ? "identical" : "DIVERGED");
-  }
+  std::printf("8-thread sharded vs fast %.2fx, window reduction %.2fx, "
+              "counters %s\n",
+              shard8_speedup, window_reduction,
+              all_identical ? "identical" : "DIVERGED");
 
   if (!report.write()) return 1;
 
@@ -637,11 +606,6 @@ int main(int argc, char** argv) {
   // uses a small count where fixed overheads dominate. The parallel gate
   // additionally needs the hardware to exist: conservative windows cannot
   // speed anything up on a box with fewer cores than shards.
-  if (!cohorts && actual_pubs >= 1000000 && fast_speedup < 3.0) {
-    std::fprintf(stderr, "fast-path speedup below 3x (%.2fx)\n",
-                 fast_speedup);
-    return 1;
-  }
   if (actual_pubs >= 1000000 && hw_threads >= 8 && shard8_speedup < 3.0) {
     std::fprintf(stderr, "8-thread sharded speedup below 3x (%.2fx)\n",
                  shard8_speedup);

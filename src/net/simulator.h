@@ -11,10 +11,6 @@
 //    transport that scheduled it — so the data plane never pays a heap
 //    allocation per hop: the queue holds a 16-byte handle and the payload
 //    lives in a recycled pool slot.
-// The seed's std::function-per-event engine is retained behind
-// set_legacy_scheduling(true) as the differential-test / benchmark
-// reference; both engines consume one sequence counter per store, so
-// dispatch order is bit-identical between them.
 //
 // Sharded parallel mode (DESIGN.md §11): configure_shards() partitions the
 // address space over K shards, each with its own two-level event store and
@@ -48,7 +44,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <thread>
 #include <vector>
 
@@ -168,8 +163,7 @@ class Simulator : public Clock {
   void schedule_after(Millis delay, Action action) final;
 
   /// Schedules a typed message delivery at absolute virtual time `t`; the
-  /// event is dispatched back to `sink` when it fires. Pre: t >= now() and
-  /// legacy scheduling is off (the legacy engine predates typed events).
+  /// event is dispatched back to `sink` when it fires. Pre: t >= now().
   /// In sharded mode the event is routed to the shard owning `to`: directly
   /// into its store when the sender shares the shard (or no window is
   /// running), through the sequenced mailbox otherwise.
@@ -190,18 +184,11 @@ class Simulator : public Clock {
   /// Runs all events with timestamp <= t, then advances the clock to t.
   void run_until(Millis t);
 
-  /// Switches to (or away from) the seed's std::function-per-event engine.
-  /// Only allowed while the queue is empty and unsharded; kept as the
-  /// reference path for the data-plane differential tests and
-  /// bench_dataplane.
-  void set_legacy_scheduling(bool on);
-  [[nodiscard]] bool legacy_scheduling() const { return legacy_; }
-
   /// Splits the simulation into `map.shards` parallel shards with the given
   /// conservative window width (the minimum cross-shard link latency; see
   /// SimTransport::min_cross_shard_latency). Spawns shards-1 worker threads;
   /// the calling thread doubles as shard 0's worker inside run(). Only
-  /// allowed while the queue is empty and legacy scheduling is off.
+  /// allowed while the queue is empty.
   /// `map.shards == 1` restores single-threaded operation.
   void configure_shards(ShardMap map, Millis lookahead);
   [[nodiscard]] std::uint32_t shards() const {
@@ -253,11 +240,11 @@ class Simulator : public Clock {
   [[nodiscard]] std::uint64_t processed() const;
 
  private:
-  /// 16-byte queue entry of the default engine; the payload (an Action or a
-  /// DeliveryEvent) lives in the matching pool at index `slot`. seq, kind
-  /// and slot share one word: seq occupies the HIGH bits, so comparing the
-  /// packed words compares seq — the FIFO tie-break for equal timestamps —
-  /// and kind/slot below it never influence the order (seq is unique).
+  /// 16-byte queue entry; the payload (an Action or a DeliveryEvent) lives
+  /// in the matching pool at index `slot`. seq, kind and slot share one
+  /// word: seq occupies the HIGH bits, so comparing the packed words
+  /// compares seq — the FIFO tie-break for equal timestamps — and kind/slot
+  /// below it never influence the order (seq is unique).
   struct CompactEvent {
     Millis time;
     std::uint64_t packed;  // seq:39 | kind:1 | slot:24
@@ -323,14 +310,13 @@ class Simulator : public Clock {
     std::uint64_t seq = 0;
     std::uint64_t processed = 0;
 
-    // Two-level event store for the default engine (a single-rung ladder
-    // queue). Pops are absorbed by a small NEAR heap (4-ary min-heap, stays
-    // cache-resident); far-future events wait unsorted — first in the TOP
-    // list, then distributed once into the RUNG's constant-width time
-    // buckets — and are only heapified when the horizon reaches their
-    // bucket. Every event is bucketed O(1) times, so the steady-state cost
-    // per event stays flat even with ~10^6 in flight (where a single big
-    // heap spends its time in cache misses).
+    // Two-level event store (a single-rung ladder queue). Pops are absorbed
+    // by a small NEAR heap (4-ary min-heap, stays cache-resident); far-future
+    // events wait unsorted — first in the TOP list, then distributed once
+    // into the RUNG's constant-width time buckets — and are only heapified
+    // when the horizon reaches their bucket. Every event is bucketed O(1)
+    // times, so the steady-state cost per event stays flat even with ~10^6
+    // in flight (where a single big heap spends its time in cache misses).
     //
     // Ordering stays EXACT: bucket_of(t) = floor((t - start) / width) is
     // monotone in t under IEEE rounding (subtraction, division by a
@@ -392,21 +378,6 @@ class Simulator : public Clock {
     }
   };
 
-  /// Seed engine's queue entry: the callback is heap-allocated by
-  /// std::function whenever its captures exceed the small-buffer size,
-  /// i.e. on every captured-message hop.
-  struct Event {
-    Millis time;
-    std::uint64_t seq;
-    Action action;
-  };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
-  };
-
   enum class Command : std::uint8_t { kRunWindow, kEndRun, kShutdown };
 
   /// Runs windows until no store has an event before `limit` (exclusive).
@@ -455,11 +426,9 @@ class Simulator : public Clock {
   void drain_all_inboxes();
 
   Millis now_ = 0.0;
-  std::uint64_t legacy_seq_ = 0;
-  /// Events dispatched outside the current stores: by the legacy engine,
-  /// or by stores retired when configure_shards() rebuilt them.
+  /// Events dispatched by stores retired when configure_shards() rebuilt
+  /// them.
   std::uint64_t processed_base_ = 0;
-  bool legacy_ = false;
 
   std::vector<std::unique_ptr<EventStore>> stores_;  // one per shard
   ShardMap map_;
@@ -498,8 +467,6 @@ class Simulator : public Clock {
   // thread, and both are reset to null/0 outside dispatch.
   static thread_local EventStore* tls_store_;
   static thread_local std::uint32_t tls_shard_;
-
-  std::priority_queue<Event, std::vector<Event>, Later> legacy_queue_;
 };
 
 }  // namespace multipub::net

@@ -74,16 +74,8 @@ SimTransport::SimTransport(Simulator& sim, const geo::RegionCatalog& catalog,
   lanes_.push_back(std::make_unique<ShardLane>());
 }
 
-void SimTransport::set_fast_path(bool on) {
-  // The weighted cohort plane has no legacy twin; drop the directory first.
-  MP_EXPECTS(on || directory_ == nullptr);
-  fast_path_ = on;
-  sim_->set_legacy_scheduling(!on);
-}
-
 void SimTransport::set_cohort_directory(const CohortDirectory* directory) {
-  MP_EXPECTS(directory == nullptr ||
-             (fast_path_ && !jitter_.has_value()));
+  MP_EXPECTS(directory == nullptr || !jitter_.has_value());
   directory_ = directory;
 }
 
@@ -180,8 +172,7 @@ void SimTransport::register_handler(Address address, Handler handler) {
   // would destroy it under its own feet.
   MP_EXPECTS(&dense[index] != lane(sim_->current_shard()).active_handler &&
              "cannot replace a handler from within its own delivery");
-  dense[index] = handler;
-  handlers_[address] = std::move(handler);
+  dense[index] = std::move(handler);
 }
 
 void SimTransport::unregister_handler(Address address) {
@@ -196,7 +187,6 @@ void SimTransport::unregister_handler(Address address) {
                "cannot remove a handler from within its own delivery");
     dense[index] = nullptr;
   }
-  handlers_.erase(address);
 }
 
 const SimTransport::Handler* SimTransport::find_handler(
@@ -469,39 +459,14 @@ void SimTransport::send(Address from, Address to, wire::Message msg) {
   }
   delay = delay * fault.delay_factor + fault.delay_extra_ms;
   sent_.add(shard, weight);
-  if (fast_path_) {
-    sim_->schedule_delivery_after(delay, *this, from, to, msg);
-    return;
-  }
-  sim_->schedule_after(delay, [this, to, msg = std::move(msg)]() {
-    const std::size_t arrival_shard = sim_->current_shard();
-    if (to.kind == Address::Kind::kRegion && region_down(to.as_region())) {
-      dropped_.add(arrival_shard, msg.weight);
-      dropped_dead_arrival_.add(arrival_shard, msg.weight);
-      if (msg.type == wire::MessageType::kPublish) {
-        lane(arrival_shard).publish_drops[msg.topic.value()] += msg.weight;
-      }
-      return;
-    }
-    const auto it = handlers_.find(to);
-    if (it == handlers_.end()) {
-      dropped_.add(arrival_shard, msg.weight);
-      dropped_unregistered_.add(arrival_shard, msg.weight);
-      if (msg.type == wire::MessageType::kPublish) {
-        lane(arrival_shard).publish_drops[msg.topic.value()] += msg.weight;
-      }
-      return;
-    }
-    delivered_.add(arrival_shard, msg.weight);
-    it->second(msg);
-  });
+  sim_->schedule_delivery_after(delay, *this, from, to, msg);
 }
 
 void SimTransport::send_cohort(Address from, Address to,
                                const wire::Message& msg,
                                std::uint32_t weight) {
   MP_EXPECTS(from.kind == Address::Kind::kRegion);
-  MP_EXPECTS(directory_ != nullptr && fast_path_ && !jitter_.has_value());
+  MP_EXPECTS(directory_ != nullptr && !jitter_.has_value());
   const std::size_t shard = sim_->current_shard();
   if (region_down(from.as_region())) {
     dropped_.add(shard, weight);
@@ -591,20 +556,6 @@ void SimTransport::send_batch(Address from, std::span<const Address> targets,
                               const wire::Message& msg,
                               wire::MessageType stamped_type) {
   if (targets.empty()) return;
-  if (!fast_path_) {
-    // Reference path: the seed data plane materialised one message copy per
-    // peer and pushed each through send() — per-target billing, map handler
-    // lookup, and a heap-allocating callback per hop.
-    wire::Message copy = msg;
-    copy.type = stamped_type;
-    for (const Address to : targets) {
-      copy.subscriber = to.kind == Address::Kind::kClient ? to.as_client()
-                                                          : msg.subscriber;
-      send(from, to, copy);
-    }
-    return;
-  }
-
   const std::size_t shard = sim_->current_shard();
   // Stream lane by the sender's owner shard, as in send(): one stream per
   // link, regardless of where the call executes.

@@ -10,12 +10,9 @@
 // The resulting CostLedger is what the live-vs-model property tests compare
 // against Equations 3/4.
 //
-// Data-plane fast path: by default deliveries travel as typed simulator
-// events (no per-hop heap allocation) and are dispatched through dense
-// per-kind handler tables; send_batch() bills and schedules a whole fan-out
-// from one shared message. set_fast_path(false) reverts to the seed's
-// std::function-per-hop scheduling — kept as the observationally-identical
-// reference for the differential tests and bench_dataplane.
+// Deliveries travel as typed simulator events (no per-hop heap allocation)
+// and are dispatched through dense per-kind handler tables; send_batch()
+// bills and schedules a whole fan-out from one shared message.
 #pragma once
 
 #include <cstdint>
@@ -76,9 +73,9 @@ class SimTransport final : public Bus, public DeliverySink {
   void unregister_handler(Address address) override;
 
   /// Installs (or, with nullptr, clears) the directory that resolves cohort
-  /// addresses. Cohort traffic requires the fast path and no jitter — the
-  /// weighted plane has no per-member jitter streams to replay. Borrowed;
-  /// must outlive the transport or be cleared first.
+  /// addresses. Cohort traffic requires no jitter — the weighted plane has
+  /// no per-member jitter streams to replay. Borrowed; must outlive the
+  /// transport or be cleared first.
   void set_cohort_directory(const CohortDirectory* directory) override;
   [[nodiscard]] const CohortDirectory* cohort_directory() const override {
     return directory_;
@@ -127,14 +124,6 @@ class SimTransport final : public Bus, public DeliverySink {
   /// resets any streams of a previously installed one.
   void set_fault_plan(FaultPlan* plan);
   [[nodiscard]] FaultPlan* fault_plan() const { return fault_plan_; }
-
-  /// Selects the scheduling implementation. On (default): typed delivery
-  /// events + dense handler dispatch. Off: the seed's per-hop
-  /// std::function path, retained as the bit-identical reference. Only
-  /// meaningful before traffic is scheduled (the simulator queue must be
-  /// empty when switching).
-  void set_fast_path(bool on);
-  [[nodiscard]] bool fast_path() const { return fast_path_; }
 
   /// Reliable-mode fault semantics (DESIGN.md §15): when on, the installed
   /// FaultPlan only applies to DATA messages (kPublish/kForward/kDeliver/
@@ -309,9 +298,8 @@ class SimTransport final : public Bus, public DeliverySink {
   const geo::InterRegionLatency* backbone_;
   const geo::ClientLatencyMap* clients_;
 
-  // The map is what the legacy (seed) path looks handlers up in; the dense
-  // tables serve the fast path. register_handler keeps both in sync. Deques
-  // (not vectors): deliver() invokes the handler through a reference into
+  // Dense per-kind handler tables indexed by address id. Deques (not
+  // vectors): deliver() invokes the handler through a reference into
   // the table, and a handler may register NEW handlers (client churn), which
   // grows the table — deque growth leaves existing elements in place, so the
   // executing std::function is never moved mid-call. Replacing the handler
@@ -319,7 +307,6 @@ class SimTransport final : public Bus, public DeliverySink {
   // asserts against it (tracked via the lane's active_handler). During
   // parallel windows the tables are read-only (registration is a setup /
   // single-threaded-dispatch affair; register_handler asserts this).
-  std::unordered_map<Address, Handler, AddressHash> handlers_;
   std::deque<Handler> client_handlers_;
   std::deque<Handler> region_handlers_;
   std::deque<Handler> cohort_handlers_;
@@ -337,7 +324,6 @@ class SimTransport final : public Bus, public DeliverySink {
   ShardedCounter dropped_sender_down_;
   ShardedCounter dropped_dead_arrival_;
   ShardedCounter dropped_faulted_;
-  bool fast_path_ = true;
   bool reliable_control_ = false;
 };
 

@@ -73,26 +73,15 @@ class LiveSystem {
   void set_incremental(bool incremental) { incremental_ = incremental; }
   [[nodiscard]] bool incremental() const { return incremental_; }
 
-  /// Selects the data-plane scheduling path. On (default): typed simulator
-  /// delivery events + batched fan-out (allocation-free per hop). Off: the
-  /// seed's std::function-per-hop reference, kept observationally
-  /// bit-identical for differential tests and bench_dataplane. Must be
-  /// called before any traffic is scheduled (right after construction).
-  void set_data_plane_fast_path(bool on) { transport_->set_fast_path(on); }
-  [[nodiscard]] bool data_plane_fast_path() const {
-    return transport_->fast_path();
-  }
-
   /// Splits the data plane over `shards` worker threads (DESIGN.md §11):
   /// regions are placed by the current shard placement strategy (topology
   /// clustering by default), clients follow their home region, and the
   /// simulator synchronizes on conservative windows derived from the
   /// cross-shard lookahead matrix (rescaled under an installed FaultPlan's
   /// delay rules before every drain). Observables stay bit-identical to the
-  /// single-threaded fast path for every shard count, placement and window
-  /// policy. Requires the fast path and shards <= regions; call before
-  /// deploy()/traffic, like set_data_plane_fast_path. `shards == 1` is the
-  /// single-threaded plane.
+  /// single-threaded plane for every shard count, placement and window
+  /// policy. Requires shards <= regions; call before deploy()/traffic.
+  /// `shards == 1` is the single-threaded plane.
   void set_shards(std::uint32_t shards);
   [[nodiscard]] std::uint32_t shards() const { return shards_; }
 
@@ -124,7 +113,7 @@ class LiveSystem {
   /// per-client plane. A positive bucket quantizes rows to
   /// floor(latency / bucket) * bucket before interning, so near-identical
   /// clients fold too — more compression, at the price of delivery times
-  /// moving by up to one bucket. Requires the fast path; call once, before
+  /// moving by up to one bucket. Call once, before
   /// deploy()/traffic and before set_shards (the flock universe must exist
   /// to be sharded). Disabling after enabling is not supported.
   void set_cohorts(bool on, Millis row_bucket_ms = 0.0);

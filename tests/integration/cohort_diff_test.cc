@@ -18,12 +18,15 @@
 #include <string>
 #include <vector>
 
+#include "integration/live_digest.h"
 #include "sim/live_runner.h"
 #include "sim/metrics_snapshot.h"
 #include "sim/scenario.h"
 
 namespace multipub::sim {
 namespace {
+
+using testutil::DigestRow;
 
 class CohortDiff : public ::testing::TestWithParam<bool> {};
 
@@ -161,11 +164,36 @@ TEST_P(CohortDiff, CohortPlaneIsBitIdenticalToPerClientPlane) {
   ASSERT_NE(failed.value(), -1);
 }
 
+// Recorded at commit 57aa6c54de90effa53cf51fb2fae0a5da37ba8f7 from the
+// per-client plane on the seed scheduling engine, the per-client plane on the
+// typed-event engine and the cohort plane; all three gave these tables.
+constexpr DigestRow kLegacyAnchorIncremental[] = {
+    {0x1c85aed562bed8da, 0x6bbc55ba88939815, 0xd532f1df29374445,
+     0x4739a4b6448e923f, 0xc4a50bb44b25b18c},  // round 0
+    {0x5bfc415e32d6b9ea, 0xfbc35cb83fea02dc, 0x7b43b12d8ebf5b2a,
+     0x4739a4b6448e923f, 0x60f5938ef4ac0ae9},  // round 1
+    {0x70f700e2581fd07a, 0xa1a3620b86f8a65f, 0x4e389029852f42d4,
+     0x4739a4b6448e923f, 0xb4bf2c35db4c70b0},  // round 2
+    {0x47004db8cab4ae0a, 0x87c4e34bef3c2bec, 0xab5627ece51adc99,
+     0x4739a4b6448e923f, 0x201434d54dc623f2},  // round 3
+};
+constexpr DigestRow kLegacyAnchorFullScan[] = {
+    {0x1c85aed562bed8da, 0x6bbc55ba88939815, 0xd532f1df29374445,
+     0x4739a4b6448e923f, 0xc4a50bb44b25b18c},  // round 0
+    {0x5bfc415e32d6b9ea, 0xfbc35cb83fea02dc, 0x7b43b12d8ebf5b2a,
+     0x4739a4b6448e923f, 0x92fa168f5e04a199},  // round 1
+    {0x70f700e2581fd07a, 0xa1a3620b86f8a65f, 0x4e389029852f42d4,
+     0x4739a4b6448e923f, 0x72d1b36468c7add8},  // round 2
+    {0x47004db8cab4ae0a, 0x87c4e34bef3c2bec, 0xab5627ece51adc99,
+     0x4739a4b6448e923f, 0x7072c98e08f0c102},  // round 3
+};
+
 TEST_P(CohortDiff, CohortPlaneMatchesLegacyReferencePath) {
-  // Transitivity anchor: the per-client LEGACY (std::function) path — the
-  // seed's original data plane — against the cohort plane, over a couple of
-  // plain traffic rounds. Locks the whole refactor chain seed -> fast path
-  // -> cohorts to one observable behaviour.
+  // Transitivity anchor: the seed's original data plane (per-client
+  // endpoints on the std::function-per-hop engine) recorded as a golden
+  // digest over a few plain traffic rounds, reproduced by the per-client
+  // fast path and by the cohort plane. Locks the whole refactor chain
+  // seed -> fast path -> cohorts to one observable behaviour.
   const bool incremental = GetParam();
   Rng rng(7);
   WorkloadSpec workload;
@@ -173,30 +201,25 @@ TEST_P(CohortDiff, CohortPlaneMatchesLegacyReferencePath) {
   workload.subscriber_replication = 4;
   const Scenario scenario =
       make_scenario({{RegionId{1}, 1, 2}, {RegionId{8}, 1, 2}}, workload, rng);
+  const std::span<const DigestRow> golden =
+      incremental ? std::span<const DigestRow>(kLegacyAnchorIncremental)
+                  : std::span<const DigestRow>(kLegacyAnchorFullScan);
 
-  LiveSystem legacy(scenario);
-  legacy.set_data_plane_fast_path(false);
-  LiveSystem cohort(scenario);
-  cohort.set_cohorts(true);
-  legacy.set_incremental(incremental);
-  cohort.set_incremental(incremental);
+  for (const bool cohorts : {false, true}) {
+    LiveSystem sys(scenario);
+    if (cohorts) sys.set_cohorts(true);
+    sys.set_incremental(incremental);
+    sys.deploy({geo::RegionSet::universe(10), core::DeliveryMode::kDirect});
 
-  const core::TopicConfig bootstrap{geo::RegionSet::universe(10),
-                                    core::DeliveryMode::kDirect};
-  legacy.deploy(bootstrap);
-  cohort.deploy(bootstrap);
-
-  Rng rng_legacy(99), rng_cohort(99);
-  for (int round = 0; round < 4; ++round) {
-    const auto a = legacy.run_interval(5.0, 512, 2.0, rng_legacy);
-    const auto b = cohort.run_interval(5.0, 512, 2.0, rng_cohort);
-    ASSERT_EQ(a.delivery_times, b.delivery_times) << "round " << round;
-    ASSERT_EQ(a.interval_cost, b.interval_cost) << "round " << round;
-    (void)legacy.control_round();
-    (void)cohort.control_round();
-    ASSERT_EQ(collect_metrics(legacy).render(),
-              collect_metrics(cohort).render())
-        << "round " << round;
+    Rng traffic(99);
+    testutil::DigestTable table;
+    for (int round = 0; round < 4; ++round) {
+      const LiveRunResult run = sys.run_interval(5.0, 512, 2.0, traffic);
+      (void)sys.control_round();
+      table.push_back(live_round_digest(sys, run, scenario.topic.topic));
+    }
+    EXPECT_TRUE(testutil::matches_golden(table, golden))
+        << (cohorts ? "cohort plane" : "per-client plane");
   }
 }
 

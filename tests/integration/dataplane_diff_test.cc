@@ -1,14 +1,15 @@
-// Live differential run for the data-plane fast path: two identical systems
-// driven by identical traffic, one on the typed-event / batched fan-out
-// scheduling (the default), one on the seed's std::function-per-hop
-// reference path. Across a randomized multi-round scenario with rate
-// shifts, jittered latencies, churn, reconfigurations and a region outage
-// with recovery, every observable — delivery times, broker counters, the
-// CostLedger, and the full metrics snapshot — must stay bit-identical.
+// Golden-digest run for the data plane, and the sharded-plane differential.
 //
-// Parameterized over the control-plane pipeline (incremental vs full-scan,
-// applied to BOTH systems) so each scheduling path is proven under each
-// reconfiguration path.
+// DataPlaneDiff drives one system through a randomized multi-round scenario
+// with rate shifts, jittered latencies, churn, reconfigurations and a region
+// outage with recovery, and pins every observable — delivery times, broker
+// and transport counters, the CostLedger, the deployed matrix and the full
+// metrics snapshot — to a checked-in digest per round (golden_digest.h).
+// The tables were recorded from the seed's std::function-per-hop scheduling
+// engine and the typed-event engine side by side, which agreed bit for bit;
+// the seed engine is gone, the tables keep the differential. Parameterized
+// over the control-plane pipeline (incremental vs full-scan).
+//
 // A second sweep proves the sharded parallel plane (DESIGN.md §11): the
 // same script over shard counts {1, 2, 4, 8}, every observable compared
 // against the single-threaded fast path — the shard count must never be
@@ -24,6 +25,7 @@
 #include <tuple>
 #include <vector>
 
+#include "integration/live_digest.h"
 #include "net/shard_placement.h"
 #include "sim/live_runner.h"
 #include "sim/metrics_snapshot.h"
@@ -31,6 +33,38 @@
 
 namespace multipub::sim {
 namespace {
+
+using testutil::DigestRow;
+
+// Recorded at commit 57aa6c54de90effa53cf51fb2fae0a5da37ba8f7 from the seed
+// scheduling engine and the typed-event engine, under both control-plane
+// pipelines; all four runs gave this table.
+constexpr DigestRow kDataPlane[] = {
+    {0xe5ddf9413e46890e, 0xb2ea9206cb327f9d, 0x8430c995ba84f105,
+     0x7bcaca4d25f3a39e, 0x7745e8829844e293},  // round 0
+    {0x3856fa601ad73476, 0x89fbe6fd4c5ecdb3, 0x688f02687d94ec7d,
+     0x7bcaca4d25f3a39e, 0x8d4ba21b348daa4e},  // round 1
+    {0xdfbad01ae9c8af23, 0xa03251e3836b3f6d, 0x2e4b13bad3bc7da5,
+     0x7bcaca4d25f3a39e, 0x19504a5adc58f000},  // round 2
+    {0x2546b3667ce31537, 0x67d55c0659bc6520, 0x666c62e7a4316ed5,
+     0x7bcaca4d25f3a39e, 0xd10a755ac8a74d9d},  // round 3
+    {0x867749432b83cf2a, 0xc479ef52aa061e6a, 0x14abb484e40464c9,
+     0x0038a4c461d9c8a6, 0x13fbc594a9ec5684},  // round 4
+    {0x98f8e614a3010903, 0x29475546bd760000, 0x0448a43609af4fda,
+     0x0038a4c461d9c8a6, 0x46d5ce544351e7eb},  // round 5
+    {0xbbad6165fa72f150, 0x8a213007cb235fb3, 0x6a67a3b81982ba44,
+     0x0038a4c461d9c8a6, 0x975233792be77343},  // round 6
+    {0x49a9a743702a97c9, 0x46587158392196c9, 0xb20eb6dbd1be950b,
+     0x7bcaca4d25f3a39e, 0x6c71caed3370c2f4},  // round 7
+    {0xf9878a3ec1bd1c21, 0xcd9c912a6b5bf94f, 0x091acf0c80021e5f,
+     0x7bcaca4d25f3a39e, 0x48485e85d153f09a},  // round 8
+    {0xb48f1db4d85e87ee, 0x3bb9a25bbf3ea647, 0x8918bc1d425aa76b,
+     0x7bcaca4d25f3a39e, 0x8e42df485d5ade39},  // round 9
+    {0xd0e8dde91990b68c, 0x5ac6322f625f744a, 0x78d379d6204cde59,
+     0x7bcaca4d25f3a39e, 0x8d57cf6819dccd6e},  // round 10
+    {0xa4a0ccdb2022ce1f, 0xb2dad1307126ccd4, 0xa0e307479b06f3d2,
+     0x7bcaca4d25f3a39e, 0x1c624b2de562c1ef},  // round 11
+};
 
 class DataPlaneDiff : public ::testing::TestWithParam<bool> {};
 
@@ -44,131 +78,58 @@ TEST_P(DataPlaneDiff, FastPathIsBitIdenticalToSeedPathAcrossLiveRounds) {
   const Scenario scenario =
       make_scenario({{RegionId{0}, 2, 4}, {RegionId{5}, 2, 4}}, workload, rng);
 
-  LiveSystem fast(scenario);
-  LiveSystem seed(scenario);
-  seed.set_data_plane_fast_path(false);
-  fast.set_incremental(incremental);
-  seed.set_incremental(incremental);
-  ASSERT_TRUE(fast.data_plane_fast_path());
-  ASSERT_FALSE(seed.data_plane_fast_path());
+  LiveSystem sys(scenario);
+  sys.set_incremental(incremental);
+  // Jitter exercises the per-hop RNG draw order.
+  sys.transport().enable_jitter({0.05, 1.5}, 99);
+  sys.deploy({geo::RegionSet::universe(10), core::DeliveryMode::kRouted});
 
-  // Jitter exercises the per-hop RNG draw order, which both paths must
-  // consume identically.
-  const net::SimTransport::JitterSpec jitter{0.05, 1.5};
-  fast.transport().enable_jitter(jitter, 99);
-  seed.transport().enable_jitter(jitter, 99);
-
-  const core::TopicConfig bootstrap{geo::RegionSet::universe(10),
-                                    core::DeliveryMode::kRouted};
-  fast.deploy(bootstrap);
-  seed.deploy(bootstrap);
-
-  // Identical traffic: independent generators with the same seed; the
-  // per-round rates themselves are randomized through a third stream.
-  Rng rng_fast(555);
-  Rng rng_seed(555);
+  // The traffic and the per-round rates come from separate streams.
+  Rng traffic(555);
   Rng rng_rounds(556);
 
   const TopicId topic = scenario.topic.topic;
   RegionId failed{-1};
+  testutil::DigestTable table;
   for (int round = 0; round < 12; ++round) {
     const double rate_hz = rng_rounds.uniform(0.5, 3.0);
-    const auto fast_run = fast.run_interval(10.0, 1024, rate_hz, rng_fast);
-    const auto seed_run = seed.run_interval(10.0, 1024, rate_hz, rng_seed);
-
-    // Delivery times are doubles computed along the hop chain — exact
-    // equality, not approximate.
-    ASSERT_EQ(fast_run.delivery_times.size(), seed_run.delivery_times.size())
-        << "round " << round;
-    for (std::size_t i = 0; i < fast_run.delivery_times.size(); ++i) {
-      ASSERT_EQ(fast_run.delivery_times[i], seed_run.delivery_times[i])
-          << "round " << round << " delivery " << i;
-    }
-    ASSERT_EQ(fast_run.interval_cost, seed_run.interval_cost)
-        << "round " << round;
+    const LiveRunResult run = sys.run_interval(10.0, 1024, rate_hz, traffic);
 
     if (round == 3) {
-      // Churn: the last subscriber leaves both systems...
-      fast.subscribers().back()->unsubscribe(topic);
-      seed.subscribers().back()->unsubscribe(topic);
-      fast.simulator().run();
-      seed.simulator().run();
+      // Churn: the last subscriber leaves...
+      sys.subscribers().back()->unsubscribe(topic);
+      sys.simulator().run();
     }
     if (round == 9) {
       // ...and rejoins, attaching to whatever is deployed right now.
-      const auto* config = fast.controller().deployed_config(topic);
+      const auto* config = sys.controller().deployed_config(topic);
       ASSERT_NE(config, nullptr);
-      fast.subscribers().back()->subscribe(topic, *config);
-      seed.subscribers().back()->subscribe(topic, *config);
-      fast.simulator().run();
-      seed.simulator().run();
+      sys.subscribers().back()->subscribe(topic, *config);
+      sys.simulator().run();
     }
     if (round == 4) {
-      // Outage of a currently serving region, on both systems.
-      const auto* config = fast.controller().deployed_config(topic);
+      // Outage of a currently serving region.
+      const auto* config = sys.controller().deployed_config(topic);
       ASSERT_NE(config, nullptr);
       failed = config->regions.first();
-      for (LiveSystem* sys : {&fast, &seed}) {
-        sys->transport().set_region_down(failed, true);
-        sys->controller().set_region_available(failed, false);
-      }
+      sys.transport().set_region_down(failed, true);
+      sys.controller().set_region_available(failed, false);
     }
     if (round == 7) {
-      for (LiveSystem* sys : {&fast, &seed}) {
-        sys->transport().set_region_down(failed, false);
-        sys->controller().set_region_available(failed, true);
-      }
+      sys.transport().set_region_down(failed, false);
+      sys.controller().set_region_available(failed, true);
     }
 
-    // Reconfigurations ride along: both systems run their control round and
-    // must deploy identical matrices (the control plane feeds off the data
-    // plane's observed traffic, so this also checks the statistics agree).
-    (void)fast.control_round();
-    (void)seed.control_round();
-    ASSERT_EQ(fast.controller().render_assignment_matrix(),
-              seed.controller().render_assignment_matrix())
-        << "round " << round;
-
-    // Ledger: per-region byte vectors, exact.
-    ASSERT_EQ(fast.transport().ledger().inter_region_bytes,
-              seed.transport().ledger().inter_region_bytes)
-        << "round " << round;
-    ASSERT_EQ(fast.transport().ledger().internet_bytes,
-              seed.transport().ledger().internet_bytes)
-        << "round " << round;
-    ASSERT_EQ(fast.transport().sent_count(), seed.transport().sent_count())
-        << "round " << round;
-    ASSERT_EQ(fast.transport().dropped_count(),
-              seed.transport().dropped_count())
-        << "round " << round;
-    ASSERT_EQ(fast.transport().topic_cost(topic),
-              seed.transport().topic_cost(topic))
-        << "round " << round;
-
-    // Broker counters per region.
-    for (const auto& region : scenario.catalog.all()) {
-      const auto& broker_fast = fast.region_manager(region.id).broker();
-      const auto& broker_seed = seed.region_manager(region.id).broker();
-      ASSERT_EQ(broker_fast.delivered_count(), broker_seed.delivered_count())
-          << "round " << round << " region " << region.name;
-      ASSERT_EQ(broker_fast.forwarded_count(), broker_seed.forwarded_count())
-          << "round " << round << " region " << region.name;
-      ASSERT_EQ(broker_fast.drain_forwarded_count(),
-                broker_seed.drain_forwarded_count())
-          << "round " << round << " region " << region.name;
-      ASSERT_EQ(broker_fast.filtered_count(), broker_seed.filtered_count())
-          << "round " << round << " region " << region.name;
-    }
-
-    // The whole rendered snapshot (%.17g — round-trippable doubles), which
-    // also covers cost_usd, client-side reconnects/duplicates/deliveries
-    // and the controller counters.
-    ASSERT_EQ(collect_metrics(fast).render(), collect_metrics(seed).render())
-        << "round " << round;
+    // Reconfigurations ride along: the control plane feeds off the data
+    // plane's observed traffic, so the matrix digest also checks the
+    // statistics.
+    (void)sys.control_round();
+    table.push_back(live_round_digest(sys, run, topic));
   }
 
   // The scenario actually exercised the outage branch.
   ASSERT_NE(failed.value(), -1);
+  EXPECT_TRUE(testutil::matches_golden(table, kDataPlane));
 }
 
 INSTANTIATE_TEST_SUITE_P(ControlPlane, DataPlaneDiff, ::testing::Bool(),

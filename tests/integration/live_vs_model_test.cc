@@ -7,6 +7,8 @@
 // configurations.
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "core/cost_model.h"
 #include "core/delivery_model.h"
 #include "sim/live_runner.h"
@@ -15,10 +17,16 @@
 namespace multipub::sim {
 namespace {
 
+// LiveCase has no printer, so ctest names each case after gtest's byte dump
+// of it. `name_tag` fills the four bytes that were padding, and so held
+// whatever the stack held, with the values the case names were recorded with.
 struct LiveCase {
   std::uint64_t mask;
   core::DeliveryMode mode;
+  std::uint32_t name_tag = 0;
 };
+static_assert(std::has_unique_object_representations_v<LiveCase>,
+              "every byte of LiveCase shows in the case names");
 
 class LiveVsModel : public ::testing::TestWithParam<LiveCase> {
  protected:
@@ -73,7 +81,7 @@ INSTANTIATE_TEST_SUITE_P(
         LiveCase{0b1000100001, core::DeliveryMode::kDirect},   // {R1,R6,R10}
         LiveCase{0b1000100001, core::DeliveryMode::kRouted},
         LiveCase{0b1111111111, core::DeliveryMode::kDirect},   // all
-        LiveCase{0b1111111111, core::DeliveryMode::kRouted}));
+        LiveCase{0b1111111111, core::DeliveryMode::kRouted, 0x20}));
 
 TEST(LiveVsModelExtras, EveryIndividualDeliveryMatchesPairModel) {
   Rng rng(32);

@@ -1,16 +1,17 @@
 // Fault-injection layer: asymmetric partitions, time-windowed delay
-// inflation and seeded probabilistic drop, wired into the transport. The
-// fast and legacy scheduling paths must stay observationally identical
-// under every fault kind — the chaos harness relies on it.
+// inflation and seeded probabilistic drop, wired into the transport. A
+// golden digest pins the transport's observables under every fault kind to
+// what the seed scheduling engine produced — the chaos harness relies on
+// them.
 #include "net/fault_plan.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
-#include <tuple>
 #include <vector>
 
+#include "golden_digest.h"
 #include "net/transport.h"
 #include "testutil.h"
 
@@ -220,75 +221,85 @@ TEST(FaultPlanSeed, SameSeedSameDecisions) {
   EXPECT_LT(dropped, 140);
 }
 
+// Recorded at commit 57aa6c54de90effa53cf51fb2fae0a5da37ba8f7 from the seed
+// scheduling engine and the typed-event engine; both gave this table.
+constexpr testutil::DigestRow kFaultedFanOut[] = {
+    {0x57fabe9fbb8f9c46, 0x79e0ddc7c5a70959, 0x21b778dc8476da19,
+     0x0000000000000000, 0x0000000000000000},  // round 0
+};
+
 TEST(FaultPlanDiff, FastAndLegacyPathsAgreeUnderFaults) {
-  // Mini differential: the same fan-out traffic under partitions + drop +
-  // delay, one transport on the typed-event fast path, one on the seed's
-  // std::function path. Counters, ledger and arrival times must match.
-  auto run = [](bool fast_path) {
-    TinyWorld world;
-    Simulator sim;
-    SimTransport transport(sim, world.catalog, world.backbone, world.clients);
-    transport.set_fast_path(fast_path);
-    FaultPlan plan(99);
-    transport.set_fault_plan(&plan);
+  // The same fan-out traffic under partitions + drop + delay: arrival
+  // times, counters and the ledger must reproduce the digest recorded from
+  // the seed's std::function scheduling path.
+  TinyWorld world;
+  Simulator sim;
+  SimTransport transport(sim, world.catalog, world.backbone, world.clients);
+  FaultPlan plan(99);
+  transport.set_fault_plan(&plan);
 
-    FaultRule partition;
-    partition.kind = FaultRule::Kind::kPartition;
-    partition.from = FaultEndpoint::region(TinyWorld::kC);
-    partition.to = FaultEndpoint::any_client();
-    partition.start = 500.0;
-    plan.add(partition);
-    FaultRule drop;
-    drop.kind = FaultRule::Kind::kDrop;
-    drop.from = FaultEndpoint::any_region();
-    drop.to = FaultEndpoint::any();
-    drop.drop_probability = 0.3;
-    plan.add(drop);
-    FaultRule delay;
-    delay.kind = FaultRule::Kind::kDelay;
-    delay.from = FaultEndpoint::region(TinyWorld::kA);
-    delay.to = FaultEndpoint::any_region();
-    delay.delay_factor = 1.7;
-    delay.delay_extra_ms = 11.0;
-    plan.add(delay);
+  FaultRule partition;
+  partition.kind = FaultRule::Kind::kPartition;
+  partition.from = FaultEndpoint::region(TinyWorld::kC);
+  partition.to = FaultEndpoint::any_client();
+  partition.start = 500.0;
+  plan.add(partition);
+  FaultRule drop;
+  drop.kind = FaultRule::Kind::kDrop;
+  drop.from = FaultEndpoint::any_region();
+  drop.to = FaultEndpoint::any();
+  drop.drop_probability = 0.3;
+  plan.add(drop);
+  FaultRule delay;
+  delay.kind = FaultRule::Kind::kDelay;
+  delay.from = FaultEndpoint::region(TinyWorld::kA);
+  delay.to = FaultEndpoint::any_region();
+  delay.delay_factor = 1.7;
+  delay.delay_extra_ms = 11.0;
+  plan.add(delay);
 
-    std::vector<Millis> arrivals;
-    auto record = [&](const wire::Message&) { arrivals.push_back(sim.now()); };
-    for (int c = 0; c < 4; ++c) {
-      transport.register_handler(Address::client(ClientId{c}), record);
-    }
-    for (int r = 0; r < 3; ++r) {
-      transport.register_handler(Address::region(RegionId{r}), record);
-    }
+  std::vector<Millis> arrivals;
+  auto record = [&](const wire::Message&) { arrivals.push_back(sim.now()); };
+  for (int c = 0; c < 4; ++c) {
+    transport.register_handler(Address::client(ClientId{c}), record);
+  }
+  for (int r = 0; r < 3; ++r) {
+    transport.register_handler(Address::region(RegionId{r}), record);
+  }
 
-    wire::Message msg;
-    msg.type = wire::MessageType::kPublish;
-    msg.topic = TopicId{0};
-    msg.payload_bytes = 64;
-    const std::vector<Address> clients = {
-        Address::client(ClientId{0}), Address::client(ClientId{1}),
-        Address::client(ClientId{2}), Address::client(ClientId{3})};
-    const std::vector<Address> peers = {Address::region(TinyWorld::kB),
-                                        Address::region(TinyWorld::kC)};
-    for (int burst = 0; burst < 10; ++burst) {
-      sim.schedule_at(100.0 * burst, [&, burst] {
-        msg.seq = static_cast<std::uint64_t>(burst);
-        transport.send_batch(Address::region(TinyWorld::kA), peers, msg,
-                             wire::MessageType::kForward);
-        transport.send_batch(Address::region(TinyWorld::kC), clients, msg,
-                             wire::MessageType::kDeliver);
-      });
-    }
-    sim.run();
+  wire::Message msg;
+  msg.type = wire::MessageType::kPublish;
+  msg.topic = TopicId{0};
+  msg.payload_bytes = 64;
+  const std::vector<Address> clients = {
+      Address::client(ClientId{0}), Address::client(ClientId{1}),
+      Address::client(ClientId{2}), Address::client(ClientId{3})};
+  const std::vector<Address> peers = {Address::region(TinyWorld::kB),
+                                      Address::region(TinyWorld::kC)};
+  for (int burst = 0; burst < 10; ++burst) {
+    sim.schedule_at(100.0 * burst, [&, burst] {
+      msg.seq = static_cast<std::uint64_t>(burst);
+      transport.send_batch(Address::region(TinyWorld::kA), peers, msg,
+                           wire::MessageType::kForward);
+      transport.send_batch(Address::region(TinyWorld::kC), clients, msg,
+                           wire::MessageType::kDeliver);
+    });
+  }
+  sim.run();
 
-    return std::make_tuple(arrivals, transport.sent_count(),
-                           transport.dropped_count(),
-                           transport.dropped_faulted_count(),
-                           transport.ledger().inter_region_bytes,
-                           transport.ledger().internet_bytes);
-  };
-
-  EXPECT_EQ(run(true), run(false));
+  testutil::DigestRow row{};
+  row[testutil::kDeliveryTimes] = testutil::Fnv1a().f64s(arrivals).value();
+  row[testutil::kCost] = testutil::Fnv1a()
+                             .u64s(transport.ledger().inter_region_bytes)
+                             .u64s(transport.ledger().internet_bytes)
+                             .value();
+  row[testutil::kCounters] = testutil::Fnv1a()
+                                 .u64(transport.sent_count())
+                                 .u64(transport.dropped_count())
+                                 .u64(transport.dropped_faulted_count())
+                                 .value();
+  EXPECT_TRUE(testutil::matches_golden(testutil::DigestTable{row},
+                                       kFaultedFanOut));
 }
 
 }  // namespace

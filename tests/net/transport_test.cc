@@ -288,91 +288,72 @@ TEST_F(TransportTest, SendBatchSkipsDownTargetButBillsTheRest) {
 }
 
 TEST_F(TransportTest, UnregisteredDeliveriesAreCountedSeparately) {
-  for (bool fast : {true, false}) {
-    TinyWorld world;
-    Simulator sim;
-    SimTransport transport(sim, world.catalog, world.backbone, world.clients);
-    transport.set_fast_path(fast);
-    transport.send(Address::region(TinyWorld::kA),
-                   Address::region(TinyWorld::kB), publication(500));
-    sim.run();
-    EXPECT_EQ(transport.dropped_count(), 1u) << "fast=" << fast;
-    EXPECT_EQ(transport.dropped_unregistered_count(), 1u) << "fast=" << fast;
-    // A drop at a down region is NOT an unregistered drop.
-    transport.set_region_down(TinyWorld::kC, true);
-    transport.send(Address::region(TinyWorld::kA),
-                   Address::region(TinyWorld::kC), publication(500));
-    sim.run();
-    EXPECT_EQ(transport.dropped_count(), 2u) << "fast=" << fast;
-    EXPECT_EQ(transport.dropped_unregistered_count(), 1u) << "fast=" << fast;
-  }
+  transport_.send(Address::region(TinyWorld::kA),
+                  Address::region(TinyWorld::kB), publication(500));
+  sim_.run();
+  EXPECT_EQ(transport_.dropped_count(), 1u);
+  EXPECT_EQ(transport_.dropped_unregistered_count(), 1u);
+  // A drop at a down region is NOT an unregistered drop.
+  transport_.set_region_down(TinyWorld::kC, true);
+  transport_.send(Address::region(TinyWorld::kA),
+                  Address::region(TinyWorld::kC), publication(500));
+  sim_.run();
+  EXPECT_EQ(transport_.dropped_count(), 2u);
+  EXPECT_EQ(transport_.dropped_unregistered_count(), 1u);
 }
 
 TEST_F(TransportTest, FastAndLegacyPathsDeliverIdentically) {
-  for (bool fast : {true, false}) {
-    TinyWorld world;
-    Simulator sim;
-    SimTransport transport(sim, world.catalog, world.backbone, world.clients);
-    transport.set_fast_path(fast);
-    EXPECT_EQ(transport.fast_path(), fast);
-    EXPECT_EQ(sim.legacy_scheduling(), !fast);
-
-    std::vector<std::pair<Millis, wire::Message>> got;
-    transport.register_handler(Address::region(TinyWorld::kB),
-                               [&](const wire::Message& m) {
-                                 got.emplace_back(sim.now(), m);
-                               });
-    wire::Message msg = publication(777);
-    msg.seq = 13;
-    transport.send(Address::region(TinyWorld::kA),
-                   Address::region(TinyWorld::kB), msg);
-    sim.run();
-    ASSERT_EQ(got.size(), 1u) << "fast=" << fast;
-    EXPECT_DOUBLE_EQ(got[0].first, 80.0) << "fast=" << fast;
-    EXPECT_EQ(got[0].second, msg) << "fast=" << fast;
-    EXPECT_EQ(transport.ledger().inter_region_bytes[0], 777u);
-  }
+  // The expectations are what the seed's std::function scheduling path
+  // delivered, checked against both engines until its removal.
+  std::vector<std::pair<Millis, wire::Message>> got;
+  transport_.register_handler(Address::region(TinyWorld::kB),
+                              [&](const wire::Message& m) {
+                                got.emplace_back(sim_.now(), m);
+                              });
+  wire::Message msg = publication(777);
+  msg.seq = 13;
+  transport_.send(Address::region(TinyWorld::kA),
+                  Address::region(TinyWorld::kB), msg);
+  sim_.run();
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_DOUBLE_EQ(got[0].first, 80.0);
+  EXPECT_EQ(got[0].second, msg);
+  EXPECT_EQ(transport_.ledger().inter_region_bytes[0], 777u);
 }
 
 TEST_F(TransportTest, RegionDyingMidFlightDropsArrivalsOnBothPaths) {
   // A message already in flight towards a region that dies before it lands
   // is discarded on arrival: the bytes were billed at departure, but a dead
-  // datacenter processes nothing. Both scheduling paths must agree.
-  for (const bool fast : {true, false}) {
-    TinyWorld world;
-    Simulator sim;
-    SimTransport transport(sim, world.catalog, world.backbone, world.clients);
-    transport.set_fast_path(fast);
+  // datacenter processes nothing. The expectations are the ones both
+  // scheduling engines met while the seed engine existed.
+  std::uint64_t delivered = 0;
+  transport_.register_handler(Address::region(TinyWorld::kB),
+                              [&](const wire::Message&) { ++delivered; });
 
-    std::uint64_t delivered = 0;
-    transport.register_handler(Address::region(TinyWorld::kB),
-                               [&](const wire::Message&) { ++delivered; });
+  // A -> B takes 80 ms; B dies at t=40, while the message is in flight.
+  transport_.send(Address::region(TinyWorld::kA),
+                  Address::region(TinyWorld::kB), publication(500));
+  sim_.schedule_at(40.0, [&] {
+    transport_.set_region_down(TinyWorld::kB, true);
+  });
+  sim_.run();
 
-    // A -> B takes 80 ms; B dies at t=40, while the message is in flight.
-    transport.send(Address::region(TinyWorld::kA),
-                   Address::region(TinyWorld::kB), publication(500));
-    sim.schedule_at(40.0, [&] {
-      transport.set_region_down(TinyWorld::kB, true);
-    });
-    sim.run();
+  EXPECT_EQ(delivered, 0u);
+  EXPECT_EQ(transport_.sent_count(), 1u);
+  EXPECT_EQ(transport_.dropped_count(), 1u);
+  EXPECT_EQ(transport_.dropped_dead_arrival_count(), 1u);
+  EXPECT_EQ(transport_.delivered_count(), 0u);
+  // Billed at departure regardless: the bytes left A.
+  EXPECT_EQ(transport_.ledger().inter_region_bytes[TinyWorld::kA.index()],
+            500u);
 
-    EXPECT_EQ(delivered, 0u) << "fast=" << fast;
-    EXPECT_EQ(transport.sent_count(), 1u) << "fast=" << fast;
-    EXPECT_EQ(transport.dropped_count(), 1u) << "fast=" << fast;
-    EXPECT_EQ(transport.dropped_dead_arrival_count(), 1u) << "fast=" << fast;
-    EXPECT_EQ(transport.delivered_count(), 0u) << "fast=" << fast;
-    // Billed at departure regardless: the bytes left A.
-    EXPECT_EQ(transport.ledger().inter_region_bytes[TinyWorld::kA.index()],
-              500u);
-
-    // After the region recovers, traffic flows (and is counted) again.
-    transport.set_region_down(TinyWorld::kB, false);
-    transport.send(Address::region(TinyWorld::kA),
-                   Address::region(TinyWorld::kB), publication(500));
-    sim.run();
-    EXPECT_EQ(delivered, 1u) << "fast=" << fast;
-    EXPECT_EQ(transport.delivered_count(), 1u) << "fast=" << fast;
-  }
+  // After the region recovers, traffic flows (and is counted) again.
+  transport_.set_region_down(TinyWorld::kB, false);
+  transport_.send(Address::region(TinyWorld::kA),
+                  Address::region(TinyWorld::kB), publication(500));
+  sim_.run();
+  EXPECT_EQ(delivered, 1u);
+  EXPECT_EQ(transport_.delivered_count(), 1u);
 }
 
 TEST_F(TransportTest, CounterBooksBalanceAcrossDropKinds) {

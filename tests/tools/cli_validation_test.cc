@@ -71,6 +71,25 @@ TEST(CliValidation, BenchRejectsMoreShardsThanRegions) {
   EXPECT_NE(out.text.find("K <= regions"), std::string::npos) << out.text;
 }
 
+TEST(CliValidation, SimRejectsTheRetiredFastPathFlag) {
+  // The seed scheduling engine and its --fast-path toggle are gone; the old
+  // flag must fail as unknown rather than be silently accepted.
+  const auto out = run_cli(build_dir() +
+                           "/tools/multipub-sim --pubs-per-region 1 "
+                           "--subs-per-region 1 --live --fast-path off");
+  EXPECT_EQ(out.exit_code, 2) << out.text;
+  EXPECT_NE(out.text.find("unknown flag --fast-path"), std::string::npos)
+      << out.text;
+}
+
+TEST(CliValidation, ChaosRejectsTheRetiredFastPathFlag) {
+  const auto out =
+      run_cli(build_dir() + "/tools/multipub-chaos --seed 7 --fast-path off");
+  EXPECT_EQ(out.exit_code, 2) << out.text;
+  EXPECT_NE(out.text.find("unknown flag --fast-path"), std::string::npos)
+      << out.text;
+}
+
 TEST(CliValidation, ReliableFlagIsAcceptedByAllThreeBinaries) {
   // `--reliable on` must pass flag validation everywhere the reliability
   // layer can run. The node binary is probed up to the scenario-file open
