@@ -302,15 +302,13 @@ void Broker::reset_traffic() { traffic_.clear(); }
 
 bool Broker::first_sight(TopicId topic, ClientId publisher,
                          std::uint64_t seq) {
-  return seen_[topic][publisher].insert(seq).second;
+  return seen_[stream_key(topic, publisher)].insert(seq);
 }
 
 bool Broker::has_accepted(TopicId topic, ClientId publisher,
                           std::uint64_t seq) const {
-  const auto topic_it = seen_.find(topic);
-  if (topic_it == seen_.end()) return false;
-  const auto pub_it = topic_it->second.find(publisher);
-  return pub_it != topic_it->second.end() && pub_it->second.count(seq) > 0;
+  const auto it = seen_.find(stream_key(topic, publisher));
+  return it != seen_.end() && it->second.contains(seq);
 }
 
 ReplayRing& Broker::ring(TopicId topic) {

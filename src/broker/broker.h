@@ -14,6 +14,7 @@
 
 #include "broker/replay_ring.h"
 #include "broker/subscription_table.h"
+#include "common/seq_set.h"
 #include "common/seq_tracker.h"
 #include "core/config.h"
 #include "net/bus.h"
@@ -171,14 +172,15 @@ class Broker {
   /// which peer replay rebuilds the count).
   [[nodiscard]] std::uint64_t unique_accepted(TopicId topic) const;
 
-  /// Publications this broker has accepted, per topic and publisher. The
-  /// chaos harness walks a crashing broker's set to find publications no
-  /// surviving broker holds (the zero-loss oracle's crash-loss exemption).
-  using PublicationsSeen = std::unordered_map<
-      TopicId,
-      std::unordered_map<ClientId, std::unordered_set<std::uint64_t>>>;
-  [[nodiscard]] const PublicationsSeen& seen_publications() const {
-    return seen_;
+  /// Calls visit(topic, publisher, seqs) for every publication stream this
+  /// broker has accepted from, in unspecified order. The chaos harness
+  /// walks a crashing broker's runs to find publications no surviving
+  /// broker holds (the zero-loss oracle's crash-loss exemption).
+  template <typename Visit>
+  void for_each_accepted(Visit&& visit) const {
+    for (const auto& [stream, seqs] : seen_) {
+      visit(stream_topic(stream), stream_publisher(stream), seqs);
+    }
   }
   [[nodiscard]] bool has_accepted(TopicId topic, ClientId publisher,
                                   std::uint64_t seq) const;
@@ -256,13 +258,10 @@ class Broker {
   /// Per-topic bounded replay store; ring head is also the per-topic
   /// delivery sequence stamp.
   std::unordered_map<TopicId, ReplayRing> rings_;
-  /// Publications already accepted, per topic: publisher -> publication
-  /// seqs. Replayed/caught-up copies dedup against this before re-entering
-  /// the ring.
-  std::unordered_map<
-      TopicId,
-      std::unordered_map<ClientId, std::unordered_set<std::uint64_t>>>
-      seen_;
+  /// Publications already accepted, per stream_key(topic, publisher).
+  /// Replayed/caught-up copies dedup against this before re-entering the
+  /// ring.
+  std::unordered_map<std::uint64_t, SeqSet> seen_;
   /// Cumulative-ack cursor over each peer's ring numbering, keyed by (peer
   /// region value, topic value); absent = unknown (first contact or
   /// post-crash), whose fresh cursor asks a sync pass to replay the peer's

@@ -421,62 +421,63 @@ void CohortPool::on_deliver(std::int32_t flock_id, const wire::Message& msg,
   Cohort& cohort = cohorts_[static_cast<std::size_t>(flock.cohort)];
   if (reliable_) track_sequence(flock_id, msg, replayed);
   const Millis value = clock_->now() - msg.published_at;
-  const SeenKey key{msg.topic.value(), msg.publisher.value(), msg.seq};
-  SeenEntry& entry = cohort.seen[key];
+  StreamSeen& seen = cohort.seen[stream_key(msg.topic, msg.publisher)];
   if (!msg.subscriber.valid()) {
     // Whole-flock delivery standing for msg.weight per-member copies.
-    if (entry.all) {
+    if (!seen.whole.insert(msg.seq)) {
       cohort.duplicates_w += msg.weight;
       if (!dedup_enabled_) cohort.recorded_duplicates_w += msg.weight;
       return;
     }
-    if (entry.members.empty()) {
+    // No fault split pending (the common case): skip the side map's hash.
+    const auto split = seen.partial.empty() ? seen.partial.end()
+                                            : seen.partial.find(msg.seq);
+    if (split == seen.partial.end()) {
       cohort.arrivals.push_back(
           {msg.topic, ClientId::invalid(), msg.weight, value, {}});
       cohort.interval_deliveries_w += msg.weight;
       cohort.total_deliveries_w += msg.weight;
-    } else {
-      // A fault already split this publication: the listed members hold
-      // their first copy, everyone else sees theirs now.
-      std::vector<ClientId> fresh;
-      for (const ClientId member : cohort.members) {
-        if (std::find(entry.members.begin(), entry.members.end(), member) ==
-            entry.members.end()) {
-          fresh.push_back(member);
-        }
-      }
-      const auto fresh_count = static_cast<std::uint32_t>(fresh.size());
-      if (msg.weight > fresh_count) {
-        cohort.duplicates_w += msg.weight - fresh_count;
-        if (!dedup_enabled_) {
-          cohort.recorded_duplicates_w += msg.weight - fresh_count;
-        }
-      }
-      if (fresh_count > 0) {
-        cohort.interval_deliveries_w += fresh_count;
-        cohort.total_deliveries_w += fresh_count;
-        cohort.arrivals.push_back({msg.topic, ClientId::invalid(),
-                                   fresh_count, value, std::move(fresh)});
+      return;
+    }
+    // A fault already split this publication: the listed members hold
+    // their first copy, everyone else sees theirs now.
+    const std::vector<ClientId>& holders = split->second;
+    std::vector<ClientId> fresh;
+    for (const ClientId member : cohort.members) {
+      if (std::find(holders.begin(), holders.end(), member) == holders.end()) {
+        fresh.push_back(member);
       }
     }
-    entry.all = true;
-    entry.members.clear();
-    entry.members.shrink_to_fit();
+    const auto fresh_count = static_cast<std::uint32_t>(fresh.size());
+    if (msg.weight > fresh_count) {
+      cohort.duplicates_w += msg.weight - fresh_count;
+      if (!dedup_enabled_) {
+        cohort.recorded_duplicates_w += msg.weight - fresh_count;
+      }
+    }
+    if (fresh_count > 0) {
+      cohort.interval_deliveries_w += fresh_count;
+      cohort.total_deliveries_w += fresh_count;
+      cohort.arrivals.push_back({msg.topic, ClientId::invalid(), fresh_count,
+                                 value, std::move(fresh)});
+    }
+    seen.partial.erase(split);
     return;
   }
   // Fault-split weight-1 copy addressed to one member.
   const ClientId member = msg.subscriber;
-  if (entry.all ||
-      std::find(entry.members.begin(), entry.members.end(), member) !=
-          entry.members.end()) {
-    cohort.duplicates_w += 1;
-    if (!dedup_enabled_) cohort.recorded_duplicates_w += 1;
-    return;
+  if (!seen.whole.contains(msg.seq)) {
+    std::vector<ClientId>& holders = seen.partial[msg.seq];
+    if (std::find(holders.begin(), holders.end(), member) == holders.end()) {
+      holders.push_back(member);
+      cohort.arrivals.push_back({msg.topic, member, 1, value, {}});
+      cohort.interval_deliveries_w += 1;
+      cohort.total_deliveries_w += 1;
+      return;
+    }
   }
-  entry.members.push_back(member);
-  cohort.arrivals.push_back({msg.topic, member, 1, value, {}});
-  cohort.interval_deliveries_w += 1;
-  cohort.total_deliveries_w += 1;
+  cohort.duplicates_w += 1;
+  if (!dedup_enabled_) cohort.recorded_duplicates_w += 1;
 }
 
 // ---- Reliable delivery (DESIGN.md §15)
@@ -611,21 +612,18 @@ std::uint64_t CohortPool::flock_complete_count(std::int32_t flock_id) const {
   const Flock& flock = flocks_[static_cast<std::size_t>(flock_id)];
   const Cohort& cohort = cohorts_[static_cast<std::size_t>(flock.cohort)];
   std::uint64_t count = 0;
-  for (const auto& [key, entry] : cohort.seen) {
-    if (key.topic != flock.topic.value()) continue;
-    if (entry.all) {
-      ++count;
-      continue;
+  for (const auto& [stream, seen] : cohort.seen) {
+    if (stream_topic(stream) != flock.topic) continue;
+    count += seen.whole.size();
+    for (const auto& [seq, holders] : seen.partial) {
+      const bool covers = std::all_of(
+          cohort.members.begin(), cohort.members.end(),
+          [&holders](ClientId member) {
+            return std::find(holders.begin(), holders.end(), member) !=
+                   holders.end();
+          });
+      if (covers) ++count;
     }
-    bool covers = true;
-    for (const ClientId member : cohort.members) {
-      if (std::find(entry.members.begin(), entry.members.end(), member) ==
-          entry.members.end()) {
-        covers = false;
-        break;
-      }
-    }
-    if (covers) ++count;
   }
   return count;
 }

@@ -29,6 +29,7 @@
 
 #include "client/client_registry.h"
 #include "client/topic_set_pool.h"
+#include "common/seq_set.h"
 #include "common/seq_tracker.h"
 #include "core/config.h"
 #include "net/bus.h"
@@ -159,26 +160,15 @@ class CohortPool final : public net::CohortDirectory {
   [[nodiscard]] RegionId flock_attachment(std::int32_t flock) const override;
 
  private:
-  struct SeenKey {
-    std::int32_t topic;
-    std::int32_t publisher;
-    std::uint64_t seq;
-    friend bool operator==(const SeenKey&, const SeenKey&) = default;
-  };
-  struct SeenKeyHash {
-    std::size_t operator()(const SeenKey& k) const {
-      std::uint64_t h = static_cast<std::uint32_t>(k.topic);
-      h = h * 0x9e3779b97f4a7c15ULL ^ static_cast<std::uint32_t>(k.publisher);
-      h = h * 0x9e3779b97f4a7c15ULL ^ k.seq;
-      return static_cast<std::size_t>(h * 0x9e3779b97f4a7c15ULL);
-    }
-  };
-  /// Which members already received a given publication. `all` short-cuts
-  /// the common case (every whole-flock delivery); the member list only
-  /// fills when a fault split a delivery into per-member copies.
-  struct SeenEntry {
-    bool all = false;
-    std::vector<ClientId> members;
+  /// Per publication stream (topic, publisher): which seqs each member
+  /// already received. `whole` holds the publications every member has —
+  /// the common case, one run-length insert per whole-flock delivery.
+  /// `partial` fills only when a fault split a delivery into per-member
+  /// copies: seq -> the members holding theirs, until a whole-flock copy
+  /// moves the seq into `whole`. A seq is in at most one of the two.
+  struct StreamSeen {
+    SeqSet whole;
+    std::unordered_map<std::uint64_t, std::vector<ClientId>> partial;
   };
 
   /// One recorded delivery. member == invalid: a whole-flock arrival
@@ -220,7 +210,8 @@ class CohortPool final : public net::CohortDirectory {
     /// (topic, flock id), ascending by topic.
     std::vector<std::pair<TopicId, std::int32_t>> flocks;
     std::vector<Arrival> arrivals;
-    std::unordered_map<SeenKey, SeenEntry, SeenKeyHash> seen;
+    /// Handover dedup state, keyed by stream_key(topic, publisher).
+    std::unordered_map<std::uint64_t, StreamSeen> seen;
     // Shard-local counters (a cohort's flocks all live on the home
     // region's shard); summed by the accessors at drained points.
     std::uint64_t reconnects_w = 0;

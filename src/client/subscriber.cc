@@ -89,10 +89,10 @@ void Subscriber::attach(TopicId topic, RegionId region) {
 }
 
 std::uint64_t Subscriber::unique_count(TopicId topic) const {
-  const auto it = seen_.find(topic);
-  if (it == seen_.end()) return 0;
   std::uint64_t count = 0;
-  for (const auto& [publisher, seqs] : it->second) count += seqs.size();
+  for (const auto& [stream, seqs] : seen_) {
+    if (stream_topic(stream) == topic) count += seqs.size();
+  }
   return count;
 }
 
@@ -144,7 +144,7 @@ void Subscriber::on_publication(const wire::Message& msg, bool replayed) {
   // the (topic, publisher, seq) identity — never the broker's ring stamp —
   // decides what counts, so a rebuilt broker's fresh numbering cannot turn
   // old publications into new ones.
-  if (!seen_[msg.topic][msg.publisher].insert(msg.seq).second) {
+  if (!seen_[stream_key(msg.topic, msg.publisher)].insert(msg.seq)) {
     ++duplicates_;
     if (dedup_enabled_) return;
     ++recorded_duplicates_;  // negative hook: let the oracle see it

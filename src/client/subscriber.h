@@ -14,10 +14,10 @@
 #pragma once
 
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "client/probing.h"
+#include "common/seq_set.h"
 #include "common/seq_tracker.h"
 #include "core/config.h"
 #include "geo/latency.h"
@@ -137,11 +137,10 @@ class Subscriber {
   std::unordered_map<TopicId, RegionId> attachments_;
   std::unordered_map<TopicId, wire::KeyFilter> filters_;
   std::vector<DeliveryRecord> deliveries_;
-  /// Dedup filter: per (topic, publisher), the publication seqs already
-  /// delivered (handover overlap can deliver twice).
-  std::unordered_map<TopicId,
-                     std::unordered_map<ClientId, std::unordered_set<std::uint64_t>>>
-      seen_;
+  /// Dedup filter: per stream_key(topic, publisher), the publication seqs
+  /// already delivered (handover overlap can deliver twice). Exact and
+  /// never shrinking; near-in-order arrival keeps it a few runs per stream.
+  std::unordered_map<std::uint64_t, SeqSet> seen_;
   Millis handover_grace_ms_ = 1000.0;
   std::uint64_t reconnects_ = 0;
   std::uint64_t duplicates_ = 0;

@@ -30,8 +30,8 @@ inline void cpu_relax() {
 }
 }  // namespace
 
-thread_local Simulator::EventStore* Simulator::tls_store_ = nullptr;
-thread_local std::uint32_t Simulator::tls_shard_ = 0;
+constinit thread_local Simulator::EventStore* Simulator::tls_store_ = nullptr;
+constinit thread_local std::uint32_t Simulator::tls_shard_ = 0;
 
 void Simulator::EventStore::heap_push(const CompactEvent& event) {
   std::size_t i = heap_.size();

@@ -464,9 +464,13 @@ class Simulator : public Clock {
 
   // Shard context of the calling thread while it dispatches a window.
   // Static: runs of different Simulator instances never overlap on one
-  // thread, and both are reset to null/0 outside dispatch.
-  static thread_local EventStore* tls_store_;
-  static thread_local std::uint32_t tls_shard_;
+  // thread, and both are reset to null/0 outside dispatch. constinit
+  // tells every translation unit the initializer is constant, so now() and
+  // friends read them with a plain TLS load instead of a call through the
+  // TLS wrapper function (which an ASan/UBSan build resolved to a null
+  // address from other translation units).
+  static constinit thread_local EventStore* tls_store_;
+  static constinit thread_local std::uint32_t tls_shard_;
 };
 
 }  // namespace multipub::net

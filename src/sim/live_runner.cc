@@ -77,24 +77,21 @@ void LiveSystem::set_reliable(bool on) {
 
 void LiveSystem::record_crash_losses(RegionId region) {
   const broker::Broker& crashing = region_manager(region).broker();
-  for (const auto& [topic, by_publisher] : crashing.seen_publications()) {
-    for (const auto& [publisher, seqs] : by_publisher) {
-      for (const std::uint64_t seq : seqs) {
-        bool survives = false;
-        for (const auto& manager : managers_) {
-          if (manager->region() == region ||
-              transport_->region_down(manager->region())) {
-            continue;  // a down broker's state is already gone
+  crashing.for_each_accepted(
+      [&](TopicId topic, ClientId publisher, const SeqSet& seqs) {
+        seqs.for_each([&](std::uint64_t seq) {
+          for (const auto& manager : managers_) {
+            if (manager->region() == region ||
+                transport_->region_down(manager->region())) {
+              continue;  // a down broker's state is already gone
+            }
+            if (manager->broker().has_accepted(topic, publisher, seq)) {
+              return;  // survives
+            }
           }
-          if (manager->broker().has_accepted(topic, publisher, seq)) {
-            survives = true;
-            break;
-          }
-        }
-        if (!survives) ++crash_lost_[topic.value()];
-      }
-    }
-  }
+          ++crash_lost_[topic.value()];
+        });
+      });
 }
 
 std::uint64_t LiveSystem::crash_lost(TopicId topic) const {

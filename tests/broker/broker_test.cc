@@ -263,5 +263,54 @@ TEST_F(BrokerTest, PublishWithoutConfigStillDeliversLocally) {
   EXPECT_EQ(inbox_[TinyWorld::kNearA2].size(), 1u);
 }
 
+// The reliable broker's dedup state: has_accepted answers exactly for the
+// (topic, publisher, seq) identities it took, for_each_accepted walks them
+// as runs, and crash() forgets all of it.
+TEST_F(BrokerTest, HasAcceptedTracksPublicationsUntilCrash) {
+  Broker broker(TinyWorld::kA, sim_, transport_);
+  broker.set_reliable(true);
+  for (const std::uint64_t seq : {0u, 1u, 2u, 5u}) {
+    next_seq_ = seq;
+    broker.handle(publish_msg(TinyWorld::kNearA));
+  }
+  next_seq_ = 7;
+  broker.handle(publish_msg(TinyWorld::kNearB));
+  sim_.run();
+
+  for (const std::uint64_t seq : {0u, 1u, 2u, 5u}) {
+    EXPECT_TRUE(broker.has_accepted(TopicId{0}, TinyWorld::kNearA, seq));
+  }
+  EXPECT_FALSE(broker.has_accepted(TopicId{0}, TinyWorld::kNearA, 3));
+  EXPECT_FALSE(broker.has_accepted(TopicId{0}, TinyWorld::kNearA, 7));
+  EXPECT_TRUE(broker.has_accepted(TopicId{0}, TinyWorld::kNearB, 7));
+  EXPECT_FALSE(broker.has_accepted(TopicId{1}, TinyWorld::kNearA, 0));
+  EXPECT_EQ(broker.unique_accepted(TopicId{0}), 5u);
+
+  std::map<ClientId, std::vector<SeqSet::Run>> runs;
+  broker.for_each_accepted(
+      [&runs](TopicId topic, ClientId publisher, const SeqSet& seqs) {
+        EXPECT_EQ(topic, TopicId{0});
+        runs[publisher].assign(seqs.runs().begin(), seqs.runs().end());
+      });
+  EXPECT_EQ(runs[TinyWorld::kNearA],
+            (std::vector<SeqSet::Run>{{0, 2}, {5, 5}}));
+  EXPECT_EQ(runs[TinyWorld::kNearB], (std::vector<SeqSet::Run>{{7, 7}}));
+
+  broker.crash();
+  EXPECT_FALSE(broker.has_accepted(TopicId{0}, TinyWorld::kNearA, 0));
+  EXPECT_FALSE(broker.has_accepted(TopicId{0}, TinyWorld::kNearB, 7));
+  std::size_t streams = 0;
+  broker.for_each_accepted(
+      [&streams](TopicId, ClientId, const SeqSet&) { ++streams; });
+  EXPECT_EQ(streams, 0u);
+
+  // After the crash a publication is accepted afresh, once.
+  next_seq_ = 5;
+  broker.handle(publish_msg(TinyWorld::kNearA));
+  EXPECT_TRUE(broker.has_accepted(TopicId{0}, TinyWorld::kNearA, 5));
+  EXPECT_FALSE(broker.has_accepted(TopicId{0}, TinyWorld::kNearA, 0));
+  EXPECT_EQ(broker.unique_accepted(TopicId{0}), 1u);
+}
+
 }  // namespace
 }  // namespace multipub::broker

@@ -2,10 +2,15 @@
 // end-to-end; these pin the per-endpoint behaviours in isolation).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <set>
+#include <tuple>
+#include <vector>
 
 #include "client/publisher.h"
 #include "client/subscriber.h"
+#include "common/rng.h"
 #include "net/simulator.h"
 #include "net/transport.h"
 #include "testutil.h"
@@ -164,6 +169,78 @@ TEST_F(ClientEndpointTest, ProberWorksForBothEndpointKinds) {
   EXPECT_EQ(sub.prober().pings_sent(), 1u);
   EXPECT_EQ(region_inbox_[TinyWorld::kC].size(), 1u);
   EXPECT_EQ(region_inbox_[TinyWorld::kC][0].type, wire::MessageType::kPing);
+}
+
+// Dedup regression: publications from two publishers on two topics arrive
+// shuffled, over two regions (the make-before-break overlap sends part of
+// each stream from both the old and the new region), with replayed repeats
+// on top. unique_count / duplicate_count must match a std::set model of the
+// (topic, publisher, seq) identities, with dedup on and off.
+TEST_F(ClientEndpointTest, SubscriberDedupMatchesSetModelUnderReorderAndOverlap) {
+  for (const bool dedup : {true, false}) {
+    net::Simulator sim;
+    net::SimTransport transport{sim, world_.catalog, world_.backbone,
+                                world_.clients};
+    Subscriber sub(TinyWorld::kNearB, sim, transport, world_.clients);
+    sub.set_dedup_enabled(dedup);
+
+    struct Arrival {
+      TopicId topic;
+      ClientId publisher;
+      std::uint64_t seq;
+      RegionId via;
+    };
+    Rng rng(5);
+    std::vector<Arrival> arrivals;
+    for (const TopicId topic : {TopicId{0}, TopicId{3}}) {
+      for (const ClientId publisher : {TinyWorld::kNearA, TinyWorld::kNearC}) {
+        for (std::uint64_t seq = 0; seq < 300; ++seq) {
+          if (rng.uniform(0.0, 1.0) < 0.05) continue;  // never arrives
+          arrivals.push_back({topic, publisher, seq, TinyWorld::kA});
+          // Handover overlap: seqs 100..159 also come via the new region.
+          if (seq >= 100 && seq < 160) {
+            arrivals.push_back({topic, publisher, seq, TinyWorld::kB});
+          }
+          if (rng.uniform(0.0, 1.0) < 0.1) {  // a replayed repeat
+            arrivals.push_back({topic, publisher, seq, TinyWorld::kB});
+          }
+        }
+      }
+    }
+    std::shuffle(arrivals.begin(), arrivals.end(), rng.engine());
+
+    std::set<std::tuple<std::int32_t, std::int32_t, std::uint64_t>> model;
+    for (const Arrival& a : arrivals) {
+      model.insert({a.topic.value(), a.publisher.value(), a.seq});
+      wire::Message deliver;
+      deliver.type = wire::MessageType::kDeliver;
+      deliver.topic = a.topic;
+      deliver.publisher = a.publisher;
+      deliver.seq = a.seq;
+      transport.send(net::Address::region(a.via),
+                     net::Address::client(TinyWorld::kNearB), deliver);
+    }
+    sim.run();
+
+    for (const TopicId topic : {TopicId{0}, TopicId{3}}) {
+      const auto expected = static_cast<std::uint64_t>(std::count_if(
+          model.begin(), model.end(), [topic](const auto& identity) {
+            return std::get<0>(identity) == topic.value();
+          }));
+      EXPECT_EQ(sub.unique_count(topic), expected) << "dedup=" << dedup;
+    }
+    EXPECT_EQ(sub.unique_count(TopicId{1}), 0u);
+    const std::uint64_t duplicates = arrivals.size() - model.size();
+    EXPECT_EQ(sub.duplicate_count(), duplicates) << "dedup=" << dedup;
+    if (dedup) {
+      EXPECT_EQ(sub.deliveries().size(), model.size());
+      EXPECT_EQ(sub.recorded_duplicate_count(), 0u);
+    } else {
+      // Negative hook: every duplicate is recorded as a delivery.
+      EXPECT_EQ(sub.deliveries().size(), arrivals.size());
+      EXPECT_EQ(sub.recorded_duplicate_count(), duplicates);
+    }
+  }
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include "client/cohort_pool.h"
 #include "client/topic_set_pool.h"
 #include "common/arena.h"
+#include "net/fault_plan.h"
 #include "net/simulator.h"
 #include "sim/live_runner.h"
 #include "sim/scenario.h"
@@ -250,6 +251,78 @@ TEST_F(CohortPoolTest, KillIsSilentAndTheEmptiedCohortRetires) {
   pool_.deploy(kTopic, config(0b010));
   sim_.run();
   EXPECT_EQ(transport_.sent_count(), sent);
+}
+
+// Dedup regression for a fault-split publication: a partition keeps one of
+// three members from its weight-1 copy, then the whole-flock copy arrives
+// (only the missed member is fresh) and is finally repeated (all duplicate).
+TEST_F(CohortPoolTest, FaultSplitCopyThenWholeFlockCopyWeighsFreshAndDuplicate) {
+  const ClientId c0 = join(RegionId{0}, kNearA, t0_);
+  const ClientId c1 = join(RegionId{0}, kNearA, t0_);
+  const ClientId c2 = join(RegionId{0}, kNearA, t0_);
+  pool_.deploy(kTopic, config(0b001));
+  sim_.run();
+  const std::int32_t fid = pool_.flock_of(c0, kTopic);
+  ASSERT_EQ(pool_.flock_weight(fid), 3u);
+
+  const auto deliver = [&](std::uint64_t seq) {
+    wire::Message msg;
+    msg.type = wire::MessageType::kDeliver;
+    msg.topic = kTopic;
+    msg.publisher = ClientId{9};
+    msg.seq = seq;
+    msg.weight = pool_.flock_weight(fid);
+    transport_.send(net::Address::region(RegionId{0}),
+                    net::Address::cohort(fid), msg);
+    sim_.run();
+  };
+
+  // A plain whole-flock delivery first: seq 0 lands in the run state.
+  deliver(0);
+  EXPECT_EQ(pool_.total_delivery_weight(), 3u);
+  EXPECT_EQ(pool_.flock_complete_count(fid), 1u);
+
+  net::FaultPlan plan(1);
+  net::FaultRule cut;
+  cut.from = net::FaultEndpoint::region(RegionId{0});
+  cut.to = net::FaultEndpoint::client(c2);
+  const int rule = plan.add(cut);
+  transport_.set_fault_plan(&plan);
+  deliver(1);  // split: c0 and c1 get weight-1 copies, c2's is cut
+  EXPECT_EQ(pool_.total_delivery_weight(), 5u);
+  EXPECT_EQ(pool_.duplicate_weight(), 0u);
+  EXPECT_EQ(pool_.flock_complete_count(fid), 1u);  // c2 still misses seq 1
+  deliver(1);  // the split repeats: both copies are duplicates
+  EXPECT_EQ(pool_.total_delivery_weight(), 5u);
+  EXPECT_EQ(pool_.duplicate_weight(), 2u);
+
+  plan.remove(rule);
+  deliver(1);  // whole-flock copy: fresh for c2 only
+  EXPECT_EQ(pool_.total_delivery_weight(), 6u);
+  EXPECT_EQ(pool_.duplicate_weight(), 4u);
+  EXPECT_EQ(pool_.flock_complete_count(fid), 2u);
+  deliver(1);  // repeat of the whole copy: all three are duplicates
+  EXPECT_EQ(pool_.total_delivery_weight(), 6u);
+  EXPECT_EQ(pool_.duplicate_weight(), 7u);
+  EXPECT_EQ(pool_.flock_complete_count(fid), 2u);
+
+  // Each member saw seqs 0 and 1 exactly once.
+  for (const ClientId member : {c0, c1, c2}) {
+    std::vector<Millis> times;
+    pool_.append_delivery_times(member, times);
+    EXPECT_EQ(times.size(), 2u) << "member " << member.value();
+  }
+
+  // A split that reaches every member completes the publication without
+  // any whole-flock copy.
+  (void)plan.add(net::FaultRule{net::FaultRule::Kind::kDelay,
+                                net::FaultEndpoint::any_region(),
+                                net::FaultEndpoint::any_client()});
+  deliver(2);
+  EXPECT_EQ(pool_.total_delivery_weight(), 9u);
+  EXPECT_EQ(pool_.flock_complete_count(fid), 3u);
+  EXPECT_EQ(pool_.recorded_duplicate_weight(), 0u);
+  transport_.set_fault_plan(nullptr);
 }
 
 // End-to-end regression: a retired cohort's weight leaves the fan-out. The
