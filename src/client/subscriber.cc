@@ -90,9 +90,9 @@ void Subscriber::attach(TopicId topic, RegionId region) {
 
 std::uint64_t Subscriber::unique_count(TopicId topic) const {
   std::uint64_t count = 0;
-  for (const auto& [stream, seqs] : seen_) {
-    if (stream_topic(stream) == topic) count += seqs.size();
-  }
+  seen_.for_each([&](std::uint64_t key, const SeqSet& seqs) {
+    if (stream_topic(key) == topic) count += seqs.size();
+  });
   return count;
 }
 
@@ -144,7 +144,7 @@ void Subscriber::on_publication(const wire::Message& msg, bool replayed) {
   // the (topic, publisher, seq) identity — never the broker's ring stamp —
   // decides what counts, so a rebuilt broker's fresh numbering cannot turn
   // old publications into new ones.
-  if (!seen_[stream_key(msg.topic, msg.publisher)].insert(msg.seq)) {
+  if (!seen_.insert(stream_key(msg.topic, msg.publisher), msg.seq)) {
     ++duplicates_;
     if (dedup_enabled_) return;
     ++recorded_duplicates_;  // negative hook: let the oracle see it

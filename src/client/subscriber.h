@@ -137,10 +137,12 @@ class Subscriber {
   std::unordered_map<TopicId, RegionId> attachments_;
   std::unordered_map<TopicId, wire::KeyFilter> filters_;
   std::vector<DeliveryRecord> deliveries_;
-  /// Dedup filter: per stream_key(topic, publisher), the publication seqs
-  /// already delivered (handover overlap can deliver twice). Exact and
-  /// never shrinking; near-in-order arrival keeps it a few runs per stream.
-  std::unordered_map<std::uint64_t, SeqSet> seen_;
+  /// Dedup filter (handover overlap can deliver twice): per
+  /// stream_key(topic, publisher), the publication seqs already delivered.
+  /// A flat table, so a delivery's lookup touches no hash node or bucket
+  /// array; exact and never shrinking, and near-in-order arrival keeps each
+  /// stream a few runs.
+  StreamTable seen_;
   Millis handover_grace_ms_ = 1000.0;
   std::uint64_t reconnects_ = 0;
   std::uint64_t duplicates_ = 0;

@@ -13,6 +13,8 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -94,7 +96,7 @@ class SeqSet {
 };
 
 /// Packs a publication stream's identity — (topic, publisher) — into one
-/// key, so a dedup filter needs one hash lookup per delivery.
+/// key, so a dedup filter needs one lookup per delivery.
 [[nodiscard]] constexpr std::uint64_t stream_key(TopicId topic,
                                                  ClientId publisher) {
   return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(topic.value()))
@@ -107,5 +109,72 @@ class SeqSet {
 [[nodiscard]] constexpr ClientId stream_publisher(std::uint64_t key) {
   return ClientId{static_cast<std::int32_t>(static_cast<std::uint32_t>(key))};
 }
+
+/// Exact dedup state of an endpoint's streams: stream_key -> SeqSet in one
+/// flat open-addressing table (power-of-two slots, Fibonacci hashing,
+/// linear probing, at most half full). An endpoint holds a handful of
+/// streams, so a lookup is one multiply and, almost always, one probe whose
+/// key and runs share a cache line — no hash node, no bucket array, no
+/// division, no data-dependent search branches. A slot is empty exactly
+/// when its SeqSet is: insert() is the only way in, and it always adds a
+/// seq. Nothing is ever removed.
+class StreamTable {
+ public:
+  /// Adds `seq` to stream `key`; true when it was not seen before.
+  bool insert(std::uint64_t key, std::uint64_t seq) {
+    if (!slots_.empty()) {
+      for (std::size_t i = home(key);; i = (i + 1) & (slots_.size() - 1)) {
+        Slot& slot = slots_[i];
+        if (slot.seqs.size() == 0) break;  // empty: a new stream
+        if (slot.key == key) return slot.seqs.insert(seq);
+      }
+    }
+    if ((streams_ + 1) * 2 > slots_.size()) grow();
+    Slot& slot = free_slot(key);
+    slot.key = key;
+    ++streams_;
+    return slot.seqs.insert(seq);
+  }
+
+  /// Number of streams seen.
+  [[nodiscard]] std::size_t streams() const { return streams_; }
+
+  /// Calls visit(key, seqs) for every stream, in no particular order.
+  template <typename Visit>
+  void for_each(Visit&& visit) const {
+    for (const Slot& slot : slots_) {
+      if (slot.seqs.size() > 0) visit(slot.key, slot.seqs);
+    }
+  }
+
+ private:
+  struct Slot {
+    std::uint64_t key = 0;
+    SeqSet seqs;
+  };
+
+  [[nodiscard]] std::size_t home(std::uint64_t key) const {
+    return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ULL) >> shift_);
+  }
+
+  Slot& free_slot(std::uint64_t key) {
+    std::size_t i = home(key);
+    while (slots_[i].seqs.size() > 0) i = (i + 1) & (slots_.size() - 1);
+    return slots_[i];
+  }
+
+  void grow() {
+    std::vector<Slot> old(slots_.empty() ? 4 : slots_.size() * 2);
+    old.swap(slots_);
+    shift_ = 64 - static_cast<unsigned>(std::countr_zero(slots_.size()));
+    for (Slot& slot : old) {
+      if (slot.seqs.size() > 0) free_slot(slot.key) = std::move(slot);
+    }
+  }
+
+  std::vector<Slot> slots_;
+  std::size_t streams_ = 0;
+  unsigned shift_ = 64;
+};
 
 }  // namespace multipub

@@ -181,22 +181,52 @@ std::uint32_t Simulator::EventStore::acquire_delivery_slot() {
   return static_cast<std::uint32_t>(delivery_pool_.size() - 1);
 }
 
+std::uint32_t Simulator::EventStore::intern(const wire::Message& msg) {
+  std::uint32_t slot;
+  if (!msg_free_.empty()) {
+    slot = msg_free_.back();
+    msg_free_.pop_back();
+    msg_pool_[slot].msg = msg;
+  } else {
+    slot = static_cast<std::uint32_t>(msg_pool_.size());
+    msg_pool_.push_back({msg});
+    msg_refs_.push_back(0);
+  }
+  msg_refs_[slot] = 1;
+  return slot;
+}
+
 void Simulator::EventStore::insert_action(Millis t, Simulator::Action action) {
   const std::uint32_t slot = acquire_action_slot();
   action_pool_[slot] = std::move(action);
   far_push(CompactEvent::make(t, seq++, kKindAction, slot));
 }
 
+void Simulator::EventStore::insert_delivery(Millis t,
+                                            const PendingDelivery& record) {
+  const std::uint32_t slot = acquire_delivery_slot();
+  delivery_pool_[slot] = record;
+  far_push(CompactEvent::make(t, seq++, kKindDelivery, slot));
+}
+
 void Simulator::EventStore::insert_delivery(Millis t, DeliverySink& sink,
                                             Address from, Address to,
                                             const wire::Message& msg) {
-  const std::uint32_t slot = acquire_delivery_slot();
-  DeliveryEvent& event = delivery_pool_[slot];
-  event.sink = &sink;
-  event.from = from;
-  event.to = to;
-  event.msg = msg;
-  far_push(CompactEvent::make(t, seq++, kKindDelivery, slot));
+  insert_delivery(t, {&sink, from, to, intern(msg), msg.subscriber});
+}
+
+void Simulator::EventStore::prefetch_next_record() const {
+  if (heap_.empty() || heap_.front().kind() != kKindDelivery) return;
+  __builtin_prefetch(&delivery_pool_[heap_.front().slot()]);
+}
+
+void Simulator::EventStore::prefetch_next_message() const {
+  if (heap_.empty() || heap_.front().kind() != kKindDelivery) return;
+  const std::uint32_t msg_slot =
+      delivery_pool_[heap_.front().slot()].msg_slot;
+  const char* line = reinterpret_cast<const char*>(&msg_pool_[msg_slot]);
+  __builtin_prefetch(line);
+  __builtin_prefetch(line + 64);
 }
 
 Millis Simulator::EventStore::next_time() {
@@ -218,11 +248,22 @@ void Simulator::EventStore::dispatch_one() {
     action_free_.push_back(slot);
     action();
   } else {
-    // Trivially-copyable payload: a stack copy keeps the dispatch safe
-    // against pool reallocation when the handler schedules further hops.
-    const DeliveryEvent delivery = delivery_pool_[slot];
+    // Materialize the hop on the stack and drop its record and message
+    // references before invoking the sink: the handler may schedule further
+    // hops, reusing or reallocating either pool.
+    const PendingDelivery record = delivery_pool_[slot];
     delivery_free_.push_back(slot);
+    DeliveryEvent delivery{record.sink, record.from, record.to,
+                           msg_pool_[record.msg_slot].msg};
+    delivery.msg.subscriber = record.subscriber;
+    if (--msg_refs_[record.msg_slot] == 0) msg_free_.push_back(record.msg_slot);
+    // One-ahead prefetch: the near-heap front is the next hop to dispatch
+    // unless the handler schedules an earlier one, so start its record's
+    // load now and, once the handler has run, its message's. Hints only —
+    // the (time, seq) order is untouched.
+    prefetch_next_record();
     delivery.sink->deliver(delivery);
+    prefetch_next_message();
   }
 }
 
@@ -231,6 +272,14 @@ Simulator::~Simulator() { shutdown_workers(); }
 std::size_t Simulator::pending() const {
   std::size_t total = 0;
   for (const auto& store : stores_) total += store->compact_pending_;
+  return total;
+}
+
+std::size_t Simulator::interned_messages() const {
+  std::size_t total = 0;
+  for (const auto& store : stores_) {
+    total += store->msg_pool_.size() - store->msg_free_.size();
+  }
   return total;
 }
 
@@ -264,7 +313,7 @@ void Simulator::configure_shards(ShardMap map, Millis lookahead) {
   dist_.clear();
   window_end_.assign(k, 0.0);
   next_times_.assign(k, 0.0);
-  sync_.assign(k, ShardSync{});
+  sync_ = std::vector<ShardSync>(k);
   windows_ = 0;
   width_sum_ = 0.0;
   width_max_ = 0.0;
@@ -339,11 +388,11 @@ WindowStats Simulator::window_stats() const {
   stats.width_sum = width_sum_;
   stats.width_max = width_max_;
   stats.mail_items = mail_items_;
-  // sync_ slots are single-writer; the kEndRun ack barrier ordered every
-  // worker's in-run counter writes before this (between-runs) read.
+  // The kEndRun ack barrier ordered every worker's window-round waits
+  // before this read; only the ack wait itself may still be counting.
   for (const ShardSync& sync : sync_) {
-    stats.barrier_spins += sync.spins;
-    stats.barrier_parks += sync.parks;
+    stats.barrier_spins += sync.spins.load(std::memory_order_relaxed);
+    stats.barrier_parks += sync.parks.load(std::memory_order_relaxed);
   }
   for (const auto& store : stores_) stats.events += store->processed;
   return stats;
@@ -384,25 +433,8 @@ void Simulator::schedule_after(Millis delay, Action action) {
 void Simulator::schedule_delivery_at(Millis t, DeliverySink& sink,
                                      Address from, Address to,
                                      const wire::Message& msg) {
-  MP_EXPECTS(t >= now());
-  if (!sharded()) {
-    stores_[0]->insert_delivery(t, sink, from, to, msg);
-    return;
-  }
-  const std::uint32_t dst = map_.shard_of(to);
-  if (tls_store_ == nullptr) {
-    // No window running (control plane, test setup): every store is
-    // quiescent, insert straight into the owner's.
-    stores_[dst]->insert_delivery(t, sink, from, to, msg);
-    return;
-  }
-  if (dst == tls_shard_) {
-    tls_store_->insert_delivery(t, sink, from, to, msg);
-    return;
-  }
-  // Cross-shard: park in the (src, dst) mailbox until the window barrier.
-  mail_[static_cast<std::size_t>(tls_shard_) * stores_.size() + dst].push(
-      MailItem{t, DeliveryEvent{&sink, from, to, msg}});
+  FanOut single(msg);
+  schedule_hop(t, sink, from, to, single, msg.subscriber);
 }
 
 void Simulator::schedule_delivery_after(Millis delay, DeliverySink& sink,
@@ -410,6 +442,47 @@ void Simulator::schedule_delivery_after(Millis delay, DeliverySink& sink,
                                         const wire::Message& msg) {
   MP_EXPECTS(delay >= 0.0);
   schedule_delivery_at(now() + delay, sink, from, to, msg);
+}
+
+void Simulator::schedule_fan_out_after(Millis delay, DeliverySink& sink,
+                                       Address from, Address to, FanOut& fan,
+                                       ClientId subscriber) {
+  MP_EXPECTS(delay >= 0.0);
+  schedule_hop(now() + delay, sink, from, to, fan, subscriber);
+}
+
+void Simulator::schedule_hop(Millis t, DeliverySink& sink, Address from,
+                             Address to, FanOut& fan, ClientId subscriber) {
+  MP_EXPECTS(t >= now());
+  EventStore* store = stores_[0].get();
+  if (sharded()) {
+    const std::uint32_t dst = map_.shard_of(to);
+    if (tls_store_ == nullptr) {
+      // No window running (control plane, test setup): every store is
+      // quiescent, insert straight into the owner's.
+      store = stores_[dst].get();
+    } else if (dst == tls_shard_) {
+      store = tls_store_;
+    } else {
+      // Cross-shard: park a full stamped copy in the (src, dst) mailbox
+      // until the window barrier.
+      MailItem item{t, DeliveryEvent{&sink, from, to, *fan.msg_}};
+      item.event.msg.subscriber = subscriber;
+      mail_[static_cast<std::size_t>(tls_shard_) * stores_.size() + dst]
+          .push(item);
+      return;
+    }
+  }
+  // The fan-out's copy in this store gains a reference; the first hop into
+  // a store (or the first after hops went to another store) interns one.
+  if (fan.store_ == store) {
+    MP_EXPECTS(store->msg_refs_[fan.slot_] > 0);
+    ++store->msg_refs_[fan.slot_];
+  } else {
+    fan.store_ = store;
+    fan.slot_ = store->intern(*fan.msg_);
+  }
+  store->insert_delivery(t, {&sink, from, to, fan.slot_, subscriber});
 }
 
 bool Simulator::step() {
@@ -544,18 +617,18 @@ std::uint32_t Simulator::await_change(std::uint32_t seen, std::uint32_t shard) {
   for (std::uint32_t delay = 1; delay <= 64; delay *= 2) {
     for (std::uint32_t i = 0; i < delay; ++i) cpu_relax();
     if (epoch_.load(std::memory_order_acquire) != seen) {
-      ++sync_[shard].spins;
+      ShardSync::bump(sync_[shard].spins);
       return seen + 1;
     }
   }
   for (int i = 0; i < 8; ++i) {
     std::this_thread::yield();
     if (epoch_.load(std::memory_order_acquire) != seen) {
-      ++sync_[shard].spins;
+      ShardSync::bump(sync_[shard].spins);
       return seen + 1;
     }
   }
-  ++sync_[shard].parks;
+  ShardSync::bump(sync_[shard].parks);
   return await_publication(seen);
 }
 

@@ -7,10 +7,12 @@
 //
 // Two event representations share one (time, seq) order:
 //  - generic Actions (std::function) for control-plane callbacks, and
-//  - typed DeliveryEvents — one message hop, dispatched straight to the
+//  - typed deliveries — one message hop, dispatched straight to the
 //    transport that scheduled it — so the data plane never pays a heap
-//    allocation per hop: the queue holds a 16-byte handle and the payload
-//    lives in a recycled pool slot.
+//    allocation per hop: the queue holds a 16-byte handle, the hop itself is
+//    a 32-byte pending record in a recycled pool slot, and the message it
+//    carries is interned once per fan-out in a refcounted message pool
+//    (DESIGN.md §9).
 //
 // Sharded parallel mode (DESIGN.md §11): configure_shards() partitions the
 // address space over K shards, each with its own two-level event store and
@@ -57,9 +59,11 @@ namespace multipub::net {
 
 class DeliverySink;
 
-/// One in-flight message hop: deliver `msg` (sent by `from`) to `to` via the
-/// transport that scheduled it. Plain trivially-copyable data — scheduling a
-/// delivery never touches the heap beyond the simulator's recycled pools.
+/// One message hop as its sink sees it: deliver `msg` (sent by `from`) to
+/// `to` via the transport that scheduled it. Plain trivially-copyable data,
+/// materialized on the dispatcher's stack from the pending record and its
+/// interned message — scheduling a delivery never touches the heap beyond
+/// the simulator's recycled pools.
 struct DeliveryEvent {
   DeliverySink* sink = nullptr;
   Address from;
@@ -131,6 +135,8 @@ struct WindowStats {
 /// Clock (virtual time); the overrides are final, so calls through a
 /// concrete Simulator* still devirtualize.
 class Simulator : public Clock {
+  struct EventStore;  // one shard's event state (below)
+
  public:
   using Action = std::function<void()>;
 
@@ -173,6 +179,36 @@ class Simulator : public Clock {
   /// Same, `delay` ms from now. Pre: delay >= 0.
   void schedule_delivery_after(Millis delay, DeliverySink& sink, Address from,
                                Address to, const wire::Message& msg);
+
+  /// Explicit fan-out handle: the hops scheduled through one handle share a
+  /// single interned copy of its message per destination store instead of
+  /// one copy each. Each hop still carries its own `subscriber` stamp. The
+  /// handle borrows the message and caches the last store it interned into;
+  /// it must not outlive the burst of scheduling calls it was made for (no
+  /// event may be dispatched while it is in use).
+  class FanOut {
+   public:
+    explicit FanOut(const wire::Message& msg) : msg_(&msg) {}
+
+   private:
+    friend class Simulator;
+    const wire::Message* msg_;
+    EventStore* store_ = nullptr;  ///< store holding the current copy
+    std::uint32_t slot_ = 0;
+  };
+
+  /// Schedules one hop of `fan`'s message, delivered with `subscriber`
+  /// stamped into it, `delay` ms from now — routed exactly like
+  /// schedule_delivery_after, so hops keep their scheduling order. A
+  /// cross-shard hop travels through the mailbox with a full stamped copy.
+  /// Pre: delay >= 0.
+  void schedule_fan_out_after(Millis delay, DeliverySink& sink, Address from,
+                              Address to, FanOut& fan, ClientId subscriber);
+
+  /// Interned messages referenced by pending deliveries, over every store.
+  /// Engine telemetry for tests (0 once the queue drains); not an observable
+  /// of the simulated system. Only between runs.
+  [[nodiscard]] std::size_t interned_messages() const;
 
   /// Executes the earliest pending event; returns false when idle. Only
   /// meaningful single-threaded (the sharded plane runs whole windows).
@@ -280,6 +316,24 @@ class Simulator : public Clock {
     return a.packed < b.packed;  // high bits are seq
   }
 
+  /// One pending hop: everything but the message, which lives once per
+  /// fan-out in the store's interned-message pool at `msg_slot`. Two records
+  /// fit a cache line.
+  struct PendingDelivery {
+    DeliverySink* sink;
+    Address from;
+    Address to;
+    std::uint32_t msg_slot;
+    ClientId subscriber;  ///< stamped into the message at dispatch
+  };
+  static_assert(sizeof(PendingDelivery) == 32);
+
+  /// Interned message slot. 32-byte alignment keeps a 96-byte message on
+  /// exactly two cache lines, so two prefetches cover it.
+  struct alignas(32) InternedMessage {
+    wire::Message msg;
+  };
+
   /// One shard's complete event state: the two-level store (see the member
   /// comment below), the recycled payload pools, its own sequence counter
   /// (assigned in insertion order, exactly as the single-threaded engine
@@ -297,9 +351,18 @@ class Simulator : public Clock {
 
     [[nodiscard]] std::uint32_t acquire_action_slot();
     [[nodiscard]] std::uint32_t acquire_delivery_slot();
+    /// Copies `msg` into a free message slot holding one reference.
+    [[nodiscard]] std::uint32_t intern(const wire::Message& msg);
     void insert_action(Millis t, Simulator::Action action);
+    /// Schedules a hop of the interned message `record.msg_slot`, taking
+    /// over one of its references.
+    void insert_delivery(Millis t, const PendingDelivery& record);
+    /// Interns `msg` with one reference and schedules its single hop.
     void insert_delivery(Millis t, DeliverySink& sink, Address from,
                          Address to, const wire::Message& msg);
+    /// Hints the cache about the next dispatch (see dispatch_one).
+    void prefetch_next_record() const;
+    void prefetch_next_message() const;
     /// Timestamp of the earliest pending event (kUnreachable when empty);
     /// refills the near heap as a side effect.
     [[nodiscard]] Millis next_time();
@@ -337,8 +400,14 @@ class Simulator : public Clock {
     std::size_t compact_pending_ = 0;  // near + rung + top
     std::vector<Action> action_pool_;
     std::vector<std::uint32_t> action_free_;
-    std::vector<DeliveryEvent> delivery_pool_;
+    std::vector<PendingDelivery> delivery_pool_;
     std::vector<std::uint32_t> delivery_free_;
+    // Interned messages: one copy per fan-out (per store), shared by every
+    // pending record that points at it; a slot returns to msg_free_ when its
+    // last record is dispatched. msg_refs_ is parallel to msg_pool_.
+    std::vector<InternedMessage> msg_pool_;
+    std::vector<std::uint32_t> msg_refs_;
+    std::vector<std::uint32_t> msg_free_;
   };
 
   /// Cross-shard delivery in flight between two window barriers.
@@ -379,6 +448,11 @@ class Simulator : public Clock {
   };
 
   enum class Command : std::uint8_t { kRunWindow, kEndRun, kShutdown };
+
+  /// Routes one hop of `fan`'s message to the store owning `to` (or its
+  /// mailbox) at absolute time `t`.
+  void schedule_hop(Millis t, DeliverySink& sink, Address from, Address to,
+                    FanOut& fan, ClientId subscriber);
 
   /// Runs windows until no store has an event before `limit` (exclusive).
   void run_windows(Millis limit);
@@ -448,11 +522,20 @@ class Simulator : public Clock {
   std::atomic<std::uint32_t> epoch_{0};
   std::atomic<std::uint32_t> arrivals_{0};
   /// Per-shard wait counters; single-writer (each shard updates its own
-  /// slot), read between runs. Padded against false sharing in the spin
-  /// loops.
+  /// slot, see bump()), read between runs. Relaxed atomics: a worker
+  /// released by the kEndRun ack round still counts that last wait after
+  /// the driver has returned, so a read between runs can race it — the
+  /// read may miss that one wait, but it is never a data race. Padded
+  /// against false sharing in the spin loops.
   struct alignas(64) ShardSync {
-    std::uint64_t spins = 0;
-    std::uint64_t parks = 0;
+    std::atomic<std::uint64_t> spins{0};
+    std::atomic<std::uint64_t> parks{0};
+
+    /// Single-writer increment: a plain load/store pair, no locked RMW.
+    static void bump(std::atomic<std::uint64_t>& counter) {
+      counter.store(counter.load(std::memory_order_relaxed) + 1,
+                    std::memory_order_relaxed);
+    }
   };
   std::vector<ShardSync> sync_;
   // Window telemetry; written only in the serial phase (rounds are ordered

@@ -515,6 +515,7 @@ void SimTransport::send_cohort(Address from, Address to,
     ShardLane& sender_lane = lane(sim_->owner_shard(from));
     wire::Message split = msg;
     split.weight = 1;
+    Simulator::FanOut fan(split);
     for (const ClientId member : directory_->flock_members(flock)) {
       const Address member_addr = Address::client(member);
       const FaultPlan::Outcome fault = fault_plan_->apply(
@@ -530,8 +531,7 @@ void SimTransport::send_cohort(Address from, Address to,
       bill.topic_internet[split.topic] += billable;
       const Millis delay = base * fault.delay_factor + fault.delay_extra_ms;
       sent_.add(shard);
-      split.subscriber = member;
-      sim_->schedule_delivery_after(delay, *this, from, to, split);
+      sim_->schedule_fan_out_after(delay, *this, from, to, fan, member);
     }
     return;
   }
@@ -577,8 +577,13 @@ void SimTransport::send_batch(Address from, std::span<const Address> targets,
     return;
   }
 
+  // One stamped message for the whole batch, never mutated per target: the
+  // fan-out handle interns it once per destination store and each hop
+  // carries its own subscriber stamp, so a cohort leg always sees the
+  // caller's subscriber field whatever targets precede it.
   wire::Message stamped = msg;
   stamped.type = stamped_type;
+  Simulator::FanOut fan(stamped);
 
   // Sender-side billing facts are shared by the whole batch; the per-target
   // += order below matches the per-target send() loop bit for bit.
@@ -636,9 +641,9 @@ void SimTransport::send_batch(Address from, std::span<const Address> targets,
     sent_.add(shard, weight);
     // Per-target stamp; region targets keep the original subscriber so a
     // mixed batch cannot leak one client's stamp into a broker-bound copy.
-    stamped.subscriber = to.kind == Address::Kind::kClient ? to.as_client()
-                                                           : msg.subscriber;
-    sim_->schedule_delivery_after(delay, *this, from, to, stamped);
+    const ClientId subscriber =
+        to.kind == Address::Kind::kClient ? to.as_client() : msg.subscriber;
+    sim_->schedule_fan_out_after(delay, *this, from, to, fan, subscriber);
   }
 }
 

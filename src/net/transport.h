@@ -90,7 +90,10 @@ class SimTransport final : public Bus, public DeliverySink {
   /// Fan-out form of send(): bills and schedules one delivery per target
   /// from a single shared message, stamping `type` to `stamped_type` and —
   /// for client targets — `subscriber` to the target as each delivery is
-  /// scheduled. Equivalent to the per-target copy-and-send loop (same
+  /// scheduled. The event store keeps one interned copy of the message per
+  /// destination store (Simulator::FanOut); each hop carries only its
+  /// subscriber stamp. Cohort targets see the caller's `subscriber`.
+  /// Equivalent to the per-target copy-and-send loop (same
   /// billing order, same jitter draws, same counters) without materialising
   /// a wire::Message per target on the caller's side. The span only needs
   /// to live for the duration of the call, so callers can reuse a scratch

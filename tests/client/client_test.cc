@@ -11,6 +11,7 @@
 #include "client/publisher.h"
 #include "client/subscriber.h"
 #include "common/rng.h"
+#include "common/seq_set.h"
 #include "net/simulator.h"
 #include "net/transport.h"
 #include "testutil.h"
@@ -239,6 +240,84 @@ TEST_F(ClientEndpointTest, SubscriberDedupMatchesSetModelUnderReorderAndOverlap)
       // Negative hook: every duplicate is recorded as a delivery.
       EXPECT_EQ(sub.deliveries().size(), arrivals.size());
       EXPECT_EQ(sub.recorded_duplicate_count(), duplicates);
+    }
+  }
+}
+
+// The dedup table over many streams: 64 topics x 3 publishers whose first
+// arrivals come in shuffled stream order, so the flat stream table grows
+// through several doublings while holding live streams. unique_count,
+// duplicate_count and the recorded deliveries must match a
+// std::map<stream, std::set<seq>> model, with dedup on and off.
+TEST_F(ClientEndpointTest, SubscriberDedupMatchesMapModelOverManyStreams) {
+  constexpr int kTopics = 64;
+  const std::vector<ClientId> publishers = {ClientId{0}, ClientId{7},
+                                            ClientId{1 << 20}};
+  for (const bool dedup : {true, false}) {
+    net::Simulator sim;
+    net::SimTransport transport{sim, world_.catalog, world_.backbone,
+                                world_.clients};
+    Subscriber sub(TinyWorld::kNearB, sim, transport, world_.clients);
+    sub.set_dedup_enabled(dedup);
+
+    Rng rng(11);
+    std::vector<std::tuple<TopicId, ClientId, std::uint64_t>> arrivals;
+    for (int t = 0; t < kTopics; ++t) {
+      for (const ClientId publisher : publishers) {
+        for (std::uint64_t seq = 0; seq < 12; ++seq) {
+          if (rng.uniform(0.0, 1.0) < 0.1) continue;  // never arrives
+          const int copies = rng.uniform(0.0, 1.0) < 0.25 ? 2 : 1;
+          for (int k = 0; k < copies; ++k) {
+            arrivals.emplace_back(TopicId{t}, publisher, seq);
+          }
+        }
+      }
+    }
+    std::shuffle(arrivals.begin(), arrivals.end(), rng.engine());
+
+    std::map<std::uint64_t, std::set<std::uint64_t>> model;
+    std::vector<std::tuple<TopicId, ClientId, std::uint64_t>> first_sights;
+    for (const auto& [topic, publisher, seq] : arrivals) {
+      if (model[stream_key(topic, publisher)].insert(seq).second) {
+        first_sights.emplace_back(topic, publisher, seq);
+      }
+      wire::Message deliver;
+      deliver.type = wire::MessageType::kDeliver;
+      deliver.topic = topic;
+      deliver.publisher = publisher;
+      deliver.seq = seq;
+      transport.send(net::Address::region(TinyWorld::kB),
+                     net::Address::client(TinyWorld::kNearB), deliver);
+    }
+    sim.run();
+
+    ASSERT_EQ(model.size(), static_cast<std::size_t>(kTopics) * 3u);
+    std::uint64_t unique = 0;
+    for (int t = 0; t < kTopics; ++t) {
+      std::uint64_t expected = 0;
+      for (const ClientId publisher : publishers) {
+        expected += model[stream_key(TopicId{t}, publisher)].size();
+      }
+      unique += expected;
+      EXPECT_EQ(sub.unique_count(TopicId{t}), expected)
+          << "topic " << t << " dedup=" << dedup;
+    }
+    EXPECT_EQ(sub.unique_count(TopicId{kTopics}), 0u);
+    EXPECT_EQ(sub.duplicate_count(), arrivals.size() - unique)
+        << "dedup=" << dedup;
+    if (dedup) {
+      // Same-latency sends arrive in send order: the recorded deliveries
+      // are exactly the first sights, in order.
+      ASSERT_EQ(sub.deliveries().size(), first_sights.size());
+      for (std::size_t i = 0; i < first_sights.size(); ++i) {
+        const DeliveryRecord& record = sub.deliveries()[i];
+        EXPECT_EQ(std::make_tuple(record.topic, record.publisher, record.seq),
+                  first_sights[i])
+            << i;
+      }
+    } else {
+      EXPECT_EQ(sub.deliveries().size(), arrivals.size());
+      EXPECT_EQ(sub.recorded_duplicate_count(), arrivals.size() - unique);
     }
   }
 }

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <set>
 #include <vector>
 
@@ -217,6 +218,40 @@ TEST(StreamKey, RoundTripsTopicAndPublisher) {
   }
   EXPECT_NE(stream_key(TopicId{1}, ClientId{2}),
             stream_key(TopicId{2}, ClientId{1}));
+}
+
+TEST(StreamTable, MatchesAMapOfSetsModel) {
+  // Streams include key 0 (the value an empty slot's key field holds) and
+  // all-ones; arrivals are shuffled and duplicate-heavy, and the table
+  // grows through several doublings while holding live streams.
+  Rng rng(21);
+  std::vector<std::uint64_t> keys = {0, kMax, stream_key(TopicId{0},
+                                                          ClientId{1})};
+  for (int i = 0; i < 60; ++i) keys.push_back(rng.engine()());
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> arrivals;
+  for (const std::uint64_t key : keys) {
+    for (std::uint64_t seq = 0; seq < 40; ++seq) {
+      arrivals.emplace_back(key, seq);
+      if (rng.uniform(0.0, 1.0) < 0.3) arrivals.emplace_back(key, seq);
+    }
+  }
+  std::shuffle(arrivals.begin(), arrivals.end(), rng.engine());
+
+  StreamTable table;
+  std::map<std::uint64_t, std::set<std::uint64_t>> model;
+  for (const auto& [key, seq] : arrivals) {
+    ASSERT_EQ(table.insert(key, seq), model[key].insert(seq).second)
+        << key << " " << seq;
+  }
+  EXPECT_EQ(table.streams(), keys.size());
+  std::size_t visited = 0;
+  table.for_each([&](std::uint64_t key, const SeqSet& seqs) {
+    ++visited;
+    ASSERT_EQ(model.count(key), 1u) << key;
+    EXPECT_EQ(seqs.size(), model[key].size()) << key;
+    for (const std::uint64_t seq : model[key]) EXPECT_TRUE(seqs.contains(seq));
+  });
+  EXPECT_EQ(visited, keys.size());
 }
 
 }  // namespace

@@ -85,6 +85,92 @@ std::vector<std::vector<std::pair<std::uint64_t, Millis>>> run_ring(
   return traces;
 }
 
+/// Per-client record of (message, arrival time); written only by the shard
+/// owning the client.
+struct ClientSink : DeliverySink {
+  Simulator* sim = nullptr;
+  std::vector<std::pair<wire::Message, Millis>> got;
+  void deliver(const DeliveryEvent& event) override {
+    got.emplace_back(event.msg, sim->now());
+  }
+};
+
+wire::Message fan_message(std::uint64_t seq) {
+  wire::Message msg;
+  msg.type = wire::MessageType::kDeliver;
+  msg.topic = TopicId{5};
+  msg.publisher = ClientId{1};
+  msg.seq = seq;
+  msg.published_at = 0.5;
+  msg.payload_bytes = 700;
+  msg.key = 31;
+  return msg;
+}
+
+/// Four regions each fan one message out to 16 clients from an
+/// owner-hinted timer, so the hops are scheduled inside windows: same-shard
+/// targets share the interned copy, cross-shard ones cross the mailboxes.
+std::vector<std::vector<std::pair<wire::Message, Millis>>> run_fan_out(
+    std::uint32_t shards, std::uint64_t* mail_items) {
+  constexpr int kRegions = 4;
+  constexpr int kClients = 16;
+  Simulator sim;
+  if (shards > 1) {
+    ShardMap map;
+    map.shards = shards;
+    for (int r = 0; r < kRegions; ++r) {
+      map.region_shard.push_back(static_cast<std::uint32_t>(r) % shards);
+    }
+    for (int c = 0; c < kClients; ++c) {
+      map.client_shard.push_back(static_cast<std::uint32_t>(c / 3) % shards);
+    }
+    sim.configure_shards(std::move(map), 10.0);  // every hop is >= 10 ms
+  }
+  std::vector<ClientSink> sinks(kClients);
+  for (ClientSink& sink : sinks) sink.sim = &sim;
+  for (int r = 0; r < kRegions; ++r) {
+    const Address from = Address::region(RegionId{r});
+    sim.schedule_at(0.5 * r, from, [&sim, &sinks, from, r] {
+      const wire::Message msg = fan_message(static_cast<std::uint64_t>(r));
+      Simulator::FanOut fan(msg);
+      for (int c = 0; c < kClients; ++c) {
+        sim.schedule_fan_out_after(10.0 + 0.1 * c + 0.01 * r,
+                                   sinks[static_cast<std::size_t>(c)], from,
+                                   Address::client(ClientId{c}), fan,
+                                   ClientId{c});
+      }
+    });
+  }
+  sim.run();
+  EXPECT_EQ(sim.interned_messages(), 0u) << "shards=" << shards;
+  *mail_items = sim.window_stats().mail_items;
+  std::vector<std::vector<std::pair<wire::Message, Millis>>> traces;
+  for (ClientSink& sink : sinks) traces.push_back(std::move(sink.got));
+  return traces;
+}
+
+TEST(ShardedSimulator, FanOutAcrossShardsDeliversIdenticalMessages) {
+  std::uint64_t mail = 0;
+  const auto reference = run_fan_out(1, &mail);
+  ASSERT_EQ(reference.size(), 16u);
+  for (std::size_t c = 0; c < reference.size(); ++c) {
+    ASSERT_EQ(reference[c].size(), 4u);
+    for (std::size_t r = 0; r < 4; ++r) {
+      wire::Message expected = fan_message(r);
+      expected.subscriber = ClientId{static_cast<std::int32_t>(c)};
+      EXPECT_EQ(reference[c][r].first, expected) << "client " << c;
+    }
+  }
+  for (std::uint32_t shards : {2u, 4u}) {
+    const auto traces = run_fan_out(shards, &mail);
+    EXPECT_GT(mail, 0u) << "shards=" << shards;  // the mailbox path ran
+    for (std::size_t c = 0; c < traces.size(); ++c) {
+      EXPECT_EQ(traces[c], reference[c]) << "shards=" << shards
+                                         << " client=" << c;
+    }
+  }
+}
+
 TEST(ShardMapTest, RoutesClientsAndRegionsThroughSeparateTables) {
   ShardMap map;
   map.shards = 3;

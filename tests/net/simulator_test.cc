@@ -207,5 +207,124 @@ TEST(Simulator, ZeroDelayEventRunsAtCurrentTime) {
   EXPECT_EQ(sim.processed(), 2u);
 }
 
+/// A publication with every field set, so a lost or torn copy shows.
+wire::Message rich_message(std::uint64_t seq) {
+  wire::Message msg;
+  msg.type = wire::MessageType::kDeliver;
+  msg.topic = TopicId{7};
+  msg.publisher = ClientId{3};
+  msg.subscriber = ClientId{99};
+  msg.seq = seq;
+  msg.published_at = 12.5;
+  msg.payload_bytes = 1024;
+  msg.key = 0xfeedULL;
+  msg.weight = 1;
+  msg.delivery_seq = 11;
+  return msg;
+}
+
+/// Records every delivered (to, msg) pair.
+struct CapturingSink : DeliverySink {
+  std::vector<std::pair<Address, wire::Message>> got;
+  void deliver(const DeliveryEvent& event) override {
+    got.emplace_back(event.to, event.msg);
+  }
+};
+
+TEST(Simulator, FanOutDeliversIdenticalPayloadsWithPerTargetStamps) {
+  Simulator sim;
+  CapturingSink sink;
+  const wire::Message msg = rich_message(41);
+  Simulator::FanOut fan(msg);
+  for (int c = 0; c < 5; ++c) {
+    // Reverse delays: dispatch order differs from scheduling order.
+    sim.schedule_fan_out_after(10.0 - c, sink, Address::region(RegionId{0}),
+                               Address::client(ClientId{c}), fan,
+                               ClientId{c});
+  }
+  // Five hops, one interned copy.
+  EXPECT_EQ(sim.pending(), 5u);
+  EXPECT_EQ(sim.interned_messages(), 1u);
+  sim.run();
+  ASSERT_EQ(sink.got.size(), 5u);
+  for (const auto& [to, got] : sink.got) {
+    wire::Message expected = msg;
+    expected.subscriber = ClientId{to.id};
+    EXPECT_EQ(got, expected) << "client " << to.id;
+  }
+  EXPECT_EQ(sink.got.front().first.id, 4);  // shortest delay first
+}
+
+TEST(Simulator, InternedMessagesReturnToZeroAfterRun) {
+  Simulator sim;
+  CapturingSink sink;
+  const Address from = Address::region(RegionId{0});
+  for (std::uint64_t round = 0; round < 20; ++round) {
+    const wire::Message msg = rich_message(round);
+    Simulator::FanOut fan(msg);
+    for (int c = 0; c < 8; ++c) {
+      sim.schedule_fan_out_after(1.0 + static_cast<double>(round % 3), sink,
+                                 from, Address::client(ClientId{c}), fan,
+                                 ClientId{c});
+    }
+    sim.schedule_delivery_after(2.0, sink, from,
+                                Address::region(RegionId{1}), msg);
+  }
+  EXPECT_EQ(sim.interned_messages(), 40u);  // one per fan-out + one per send
+  sim.run_until(2.0);
+  // Left: the fan-outs of rounds 2, 5, ..., 17 (delay 3).
+  EXPECT_EQ(sim.interned_messages(), 6u);
+  sim.run();
+  EXPECT_EQ(sink.got.size(), 20u * 9u);
+  EXPECT_EQ(sim.interned_messages(), 0u);
+}
+
+TEST(Simulator, FanOutStartedMidDispatchKeepsTheMessageIntact) {
+  // The handler of the first hop starts a large fan-out plus many single
+  // sends, growing (and reallocating) the record and message pools while
+  // it still reads its own event; every later hop must carry its intact
+  // message. Run under ASan, a read from a freed pool slot aborts here.
+  struct GrowingSink : DeliverySink {
+    Simulator* sim = nullptr;
+    std::vector<wire::Message> got;
+    bool grew = false;
+    void deliver(const DeliveryEvent& event) override {
+      if (!grew) {
+        grew = true;
+        const wire::Message inner = rich_message(1000);
+        Simulator::FanOut fan(inner);
+        for (int c = 0; c < 4096; ++c) {
+          sim->schedule_fan_out_after(1.0, *this, event.to,
+                                      Address::client(ClientId{c}), fan,
+                                      ClientId{c});
+        }
+        for (std::uint64_t i = 0; i < 4096; ++i) {
+          sim->schedule_delivery_after(2.0, *this, event.to, event.from,
+                                       rich_message(2000 + i));
+        }
+      }
+      got.push_back(event.msg);
+    }
+  };
+  Simulator sim;
+  GrowingSink sink;
+  sink.sim = &sim;
+  const wire::Message first = rich_message(7);
+  sim.schedule_delivery_at(0.0, sink, Address::client(ClientId{0}),
+                           Address::region(RegionId{0}), first);
+  sim.run();
+  ASSERT_EQ(sink.got.size(), 1u + 4096u + 4096u);
+  EXPECT_EQ(sink.got[0], first);
+  for (int c = 0; c < 4096; ++c) {
+    wire::Message expected = rich_message(1000);
+    expected.subscriber = ClientId{c};
+    ASSERT_EQ(sink.got[1 + static_cast<std::size_t>(c)], expected) << c;
+  }
+  for (std::uint64_t i = 0; i < 4096; ++i) {
+    ASSERT_EQ(sink.got[4097 + i], rich_message(2000 + i)) << i;
+  }
+  EXPECT_EQ(sim.interned_messages(), 0u);
+}
+
 }  // namespace
 }  // namespace multipub::net

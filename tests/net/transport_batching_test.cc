@@ -13,6 +13,8 @@
 
 #include "common/rng.h"
 #include "net/socket_transport.h"
+#include "net/transport.h"
+#include "testutil.h"
 
 namespace multipub::net {
 namespace {
@@ -96,6 +98,86 @@ TEST(TransportBatching, FanOutStampsPerTargetLikeThePerTargetLoop) {
   ASSERT_EQ(at_cohort.size(), 1u);
   EXPECT_EQ(at_cohort[0].type, wire::MessageType::kDeliver);
   EXPECT_EQ(at_cohort[0].subscriber, ClientId{55});
+}
+
+/// One three-member flock, 5 ms from every region.
+class ThreeMemberFlock : public CohortDirectory {
+ public:
+  [[nodiscard]] std::uint32_t flock_weight(std::int32_t) const override {
+    return 3;
+  }
+  [[nodiscard]] std::span<const ClientId> flock_members(
+      std::int32_t) const override {
+    return members_;
+  }
+  [[nodiscard]] Millis flock_latency(std::int32_t, RegionId) const override {
+    return 5.0;
+  }
+  [[nodiscard]] RegionId flock_home(std::int32_t) const override {
+    return testutil::TinyWorld::kA;
+  }
+  [[nodiscard]] RegionId flock_attachment(std::int32_t) const override {
+    return testutil::TinyWorld::kA;
+  }
+
+ private:
+  std::vector<ClientId> members_ = {testutil::TinyWorld::kNearA,
+                                    testutil::TinyWorld::kNearA2,
+                                    testutil::TinyWorld::kNearB};
+};
+
+/// What one kReplayBatch fan-out from region A did on the DES twin.
+struct ReplayFanOut {
+  std::vector<wire::Message> at_flock;
+  std::uint64_t at_client = 0;
+  std::uint64_t sent = 0;
+  std::uint64_t delivered = 0;
+  Bytes internet = 0;
+};
+
+ReplayFanOut replay_fan_out(const std::vector<Address>& targets) {
+  testutil::TinyWorld world;
+  Simulator sim;
+  SimTransport transport(sim, world.catalog, world.backbone, world.clients);
+  ThreeMemberFlock directory;
+  transport.set_cohort_directory(&directory);
+  ReplayFanOut out;
+  transport.register_handler(
+      Address::cohort(4),
+      [&out](const wire::Message& m) { out.at_flock.push_back(m); });
+  transport.register_handler(Address::client(testutil::TinyWorld::kNearC),
+                             [&out](const wire::Message&) { ++out.at_client; });
+  wire::Message msg = publication(17, 400);
+  msg.subscriber = ClientId::invalid();  // a broker's fan-out names nobody
+  transport.send_batch(Address::region(testutil::TinyWorld::kA), targets, msg,
+                       wire::MessageType::kReplayBatch);
+  sim.run();
+  out.sent = transport.sent_count();
+  out.delivered = transport.delivered_count();
+  out.internet = transport.ledger().internet_bytes[0];
+  return out;
+}
+
+TEST(TransportBatching, CohortLegAfterAClientTargetIsBilledLikeACohortBatch) {
+  // The cohort leg of a mixed [client, cohort] replay batch must not
+  // inherit the client target's subscriber stamp: that would turn the
+  // whole-flock hop into a member-addressed weight-1 replay.
+  const Address client = Address::client(testutil::TinyWorld::kNearC);
+  const Address flock = Address::cohort(4);
+  const ReplayFanOut mixed = replay_fan_out({client, flock});
+  const ReplayFanOut cohort_only = replay_fan_out({flock});
+  const ReplayFanOut client_only = replay_fan_out({client});
+
+  EXPECT_EQ(mixed.at_client, 1u);
+  EXPECT_EQ(mixed.at_flock, cohort_only.at_flock);
+  ASSERT_EQ(mixed.at_flock.size(), 1u);
+  EXPECT_EQ(mixed.at_flock[0].weight, 3u);
+  EXPECT_FALSE(mixed.at_flock[0].subscriber.valid());
+  EXPECT_EQ(mixed.sent, cohort_only.sent + client_only.sent);
+  EXPECT_EQ(mixed.delivered, cohort_only.delivered + client_only.delivered);
+  EXPECT_EQ(mixed.internet, cohort_only.internet + client_only.internet);
+  EXPECT_EQ(cohort_only.sent, 3u);
+  EXPECT_EQ(cohort_only.internet, 3u * 400u);
 }
 
 /// Drives identical mixed traffic (point-to-point sends, remote fan-out,
